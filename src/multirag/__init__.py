@@ -13,7 +13,7 @@ from .confidence import (
     select_most_confident,
     self_certainty,
 )
-from .corpus import Chunk, Corpus
+from .corpus import Chunk, ChunkIndex, Corpus
 from .embedding import DeterministicProvider, EmbeddingVector, RemoteProvider, cosine
 from .evaluation import (
     AccuracyReport,

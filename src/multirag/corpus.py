@@ -1,4 +1,5 @@
-"""External knowledge corpus: chunk storage and JSONL/plain-text ingestion.
+"""External knowledge corpus: chunk storage, JSONL/plain-text ingestion, and
+the array index retrieval scores against.
 
 Chunks are write-once: ingestion is single-writer, reads are free after
 it completes. Iteration order is ingestion order and is what every
@@ -8,8 +9,12 @@ tie-breaking rule downstream refers to.
 from __future__ import annotations
 
 import json
+import threading
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .errors import DuplicateChunkError, MalformedLineError, UnknownChunkError
 
@@ -32,6 +37,44 @@ class Chunk:
             raise ValueError(f"chunk {self.id!r}: unknown kind {self.kind!r}")
 
 
+class ChunkIndex:
+    """Chunk ids, their kinds and vector matrices, all in ingestion order.
+
+    ``matrix(provider)`` embeds every chunk text once per provider, as one
+    block that bypasses the provider's per-text cache, and keeps the rows
+    L2-normalised: that matrix is the only long-lived copy of the corpus
+    vectors, and a question is scored with one matrix-vector product.
+    An index built from ids alone (``kinds`` and ``texts`` omitted) serves
+    similarity rows given as plain ``{chunk id: score}`` mappings.
+    """
+
+    def __init__(self, ids: list[str], kinds: list[str] | None = None,
+                 texts: list[str] | None = None):
+        self.ids = ids
+        self.position = {cid: i for i, cid in enumerate(ids)}
+        self.kinds = None if kinds is None else np.array(kinds)
+        self._texts = texts
+        self._lock = threading.Lock()
+        # provider -> [lock, matrix]; the lock makes concurrent first uses build once
+        self._matrices: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def matrix(self, provider) -> np.ndarray:
+        """(chunks, dim) unit-norm vectors of every chunk under ``provider``."""
+        with self._lock:
+            slot = self._matrices.setdefault(provider, [threading.Lock(), None])
+        with slot[0]:
+            if slot[1] is None:
+                if self._texts is None:
+                    raise ValueError("this index holds no chunk texts to embed")
+                block = provider.embed_matrix(self._texts)
+                block /= np.linalg.norm(block, axis=1, keepdims=True)
+                slot[1] = block
+            return slot[1]
+
+
 class Corpus:
     """Ordered, immutable-after-ingestion chunk store with a kind index."""
 
@@ -40,6 +83,8 @@ class Corpus:
         self._by_id: dict[str, Chunk] = {}
         self._position: dict[str, int] = {}
         self._by_kind: dict[str, list[str]] = {k: [] for k in KINDS}
+        self._index: ChunkIndex | None = None
+        self._index_lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._chunks)
@@ -73,6 +118,15 @@ class Corpus:
         except KeyError:
             raise UnknownChunkError(chunk_id) from None
 
+    def index(self) -> ChunkIndex:
+        """The retrieval index of every chunk added so far, built on first use."""
+        with self._index_lock:
+            if self._index is None:
+                chunks = self._chunks
+                self._index = ChunkIndex([c.id for c in chunks], [c.kind for c in chunks],
+                                         [c.text for c in chunks])
+            return self._index
+
     def add(self, chunk: Chunk) -> None:
         if chunk.id in self._by_id:
             raise DuplicateChunkError(chunk.id)
@@ -80,6 +134,8 @@ class Corpus:
         self._chunks.append(chunk)
         self._by_id[chunk.id] = chunk
         self._by_kind[chunk.kind].append(chunk.id)
+        with self._index_lock:
+            self._index = None
 
     def _fresh_id(self, taken: set[str]) -> str:
         n = len(self._chunks) + len(taken)

@@ -2,9 +2,11 @@
 
 Two provider modes exist: a deterministic test provider (seeded hash of
 model id and text, expanded to a fixed-dimension vector) and a remote
-client for OpenAI-compatible ``/v1/embeddings`` endpoints. Providers
-cache by text — legal because every provider promises that identical
-input text yields an identical vector within one instance.
+client for OpenAI-compatible ``/v1/embeddings`` endpoints. ``embed``
+caches by text — legal because every provider promises that identical
+input text yields an identical vector within one instance — while
+``embed_matrix`` returns a whole corpus as one validated matrix and
+caches none of it.
 """
 
 from __future__ import annotations
@@ -52,9 +54,16 @@ def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
 
 
 class _CachingProvider:
-    """Shared embed() plumbing: per-text cache plus batch dispatch."""
+    """Shared embedding plumbing: batch dispatch, block validation, per-text cache.
+
+    ``embed`` serves texts such as questions and caches every vector it
+    returns. ``embed_matrix`` serves whole corpora: it returns one
+    validated matrix and caches nothing, so the caller's matrix is the only
+    copy of those vectors.
+    """
 
     model_id: str
+    batch_size: int = 1024  # texts per _compute_batch call
 
     def __init__(self):
         self._cache: dict[str, EmbeddingVector] = {}
@@ -64,25 +73,48 @@ class _CachingProvider:
     def _compute_batch(self, texts: list[str]) -> list[np.ndarray]:
         raise NotImplementedError
 
+    def _checked(self, raw: list[np.ndarray]) -> np.ndarray:
+        """Stack one computed batch, holding it to ``EmbeddingVector``'s rules."""
+        shapes = {np.shape(v) for v in raw}
+        if any(len(shape) != 1 or shape[0] == 0 for shape in shapes):
+            raise ValueError("embedding must be a non-empty 1-D vector")
+        dims = {shape[0] for shape in shapes}
+        with self._lock:
+            if self._dim is not None:
+                dims.add(self._dim)
+        if len(dims) > 1:
+            raise DimensionMismatchError(
+                f"provider {self.model_id!r} returned mixed dimensions {sorted(dims)}")
+        block = np.array(raw, dtype=np.float64)
+        if not np.isfinite(block).all():
+            raise ValueError("embedding contains non-finite entries")
+        if not np.linalg.norm(block, axis=1).all():
+            raise ZeroVectorError(f"zero-norm embedding from {self.model_id!r}")
+        with self._lock:
+            self._dim = block.shape[1]
+        return block
+
+    def embed_matrix(self, texts: list[str]) -> np.ndarray:
+        """(len(texts), dim) matrix of validated vectors, bypassing the cache."""
+        if not texts:
+            raise ValueError("embed_matrix() requires at least one text")
+        out = None
+        for start in range(0, len(texts), self.batch_size):
+            block = self._checked(self._compute_batch(texts[start:start + self.batch_size]))
+            if out is None:
+                out = np.empty((len(texts), block.shape[1]))
+            out[start:start + len(block)] = block
+        return out
+
     def embed(self, texts: list[str]) -> list[EmbeddingVector]:
         if not texts:
             raise ValueError("embed() requires at least one text")
         with self._lock:
             missing = [t for t in dict.fromkeys(texts) if t not in self._cache]
         if missing:
-            raw = self._compute_batch(missing)
-            vectors = {}
-            for text, arr in zip(missing, raw):
-                vec = EmbeddingVector(values=arr, model_id=self.model_id)
-                vectors[text] = vec
-            dims = {v.dim for v in vectors.values()}
+            vectors = {text: EmbeddingVector(values=row, model_id=self.model_id)
+                       for text, row in zip(missing, self.embed_matrix(missing))}
             with self._lock:
-                if self._dim is not None:
-                    dims.add(self._dim)
-                if len(dims) > 1:
-                    raise DimensionMismatchError(
-                        f"provider {self.model_id!r} returned mixed dimensions {sorted(dims)}")
-                self._dim = dims.pop()
                 self._cache.update(vectors)
         with self._lock:
             return [self._cache[t] for t in texts]
@@ -135,18 +167,14 @@ class RemoteProvider(_CachingProvider):
         self._headers = transport.bearer_headers(api_key_env)
 
     def _compute_batch(self, texts: list[str]) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
-        for start in range(0, len(texts), self.batch_size):
-            batch = texts[start:start + self.batch_size]
-            body = transport.post_json(
-                f"{self.endpoint}/v1/embeddings",
-                {"model": self.model_id, "input": batch},
-                headers=self._headers, timeout=self.timeout,
-                retries=self.retries, backoff=self.backoff)
-            data = body.get("data")
-            if not isinstance(data, list) or len(data) != len(batch):
-                raise DimensionMismatchError(
-                    f"provider {self.model_id!r}: expected {len(batch)} embeddings, "
-                    f"got {len(data) if isinstance(data, list) else type(data).__name__}")
-            out.extend(np.asarray(item["embedding"], dtype=np.float64) for item in data)
-        return out
+        body = transport.post_json(
+            f"{self.endpoint}/v1/embeddings",
+            {"model": self.model_id, "input": texts},
+            headers=self._headers, timeout=self.timeout,
+            retries=self.retries, backoff=self.backoff)
+        data = body.get("data")
+        if not isinstance(data, list) or len(data) != len(texts):
+            raise DimensionMismatchError(
+                f"provider {self.model_id!r}: expected {len(texts)} embeddings, "
+                f"got {len(data) if isinstance(data, list) else type(data).__name__}")
+        return [np.asarray(item["embedding"], dtype=np.float64) for item in data]

@@ -7,10 +7,12 @@ relative tolerance, anything else falls back to exact string match.
 
 The sweep runs, per question: one bare-LLM generation (k = 0), one
 vanilla run per embedding model, and one mixture run per model
-combination. Confident results reuse the per-model vanilla records —
-decode seeds depend only on (master seed, question, model), so a fresh
-``run_confident`` would produce byte-identical records; the equivalence
-is covered by tests.
+combination. Each (question, model) similarity row is scored once and
+shared by that question's vanilla and mixture runs, together with its
+cached ranking, per-kind selection and Z-scores. Confident results reuse
+the per-model vanilla records — decode seeds depend only on (master
+seed, question, model), so a fresh ``run_confident`` would produce
+byte-identical records; both equivalences are covered by tests.
 """
 
 from __future__ import annotations
@@ -131,13 +133,18 @@ def confident_from_records(question_id: str, records: list[GenerationRecord],
 def run_sweep(corpus: Corpus, items: list[QAItem], config: PipelineConfig,
               pipelines: list[str], sizes: list[int],
               include_vanilla_llm: bool = True) -> list[QuestionResult]:
-    """Run the configured pipelines over every question; returns flat results."""
+    """Run the configured pipelines over every question; returns flat results.
+
+    Every question scores each embedding model's similarity row once and
+    hands it to all of that question's vanilla and mixture runs.
+    """
     model_ids = config.model_ids
     combos = model_combinations(model_ids, sizes)
     bare_config = replace(config, k=0)
 
     def one_question(item: QAItem) -> list[QuestionResult]:
         out: list[QuestionResult] = []
+        rows: dict = {}  # model id -> this question's similarity row
         if include_vanilla_llm:
             res = pipeline.run_vanilla(item.id, item.question, "", corpus, bare_config)
             res.pipeline = "vanilla-llm"
@@ -147,13 +154,13 @@ def run_sweep(corpus: Corpus, items: list[QAItem], config: PipelineConfig,
         if need_vanilla:
             for mid in model_ids:
                 by_model[mid] = pipeline.run_vanilla(
-                    item.id, item.question, mid, corpus, config)
+                    item.id, item.question, mid, corpus, config, rows=rows)
             if "vanilla" in pipelines:
                 out.extend(by_model.values())
         if "mixture" in pipelines:
             for combo in combos:
                 out.append(pipeline.run_mixture(
-                    item.id, item.question, list(combo), corpus, config))
+                    item.id, item.question, list(combo), corpus, config, rows=rows))
         if "confident" in pipelines:
             for combo in combos:
                 records = [by_model[mid].records[0] for mid in combo]
@@ -175,8 +182,6 @@ def run_sweep(corpus: Corpus, items: list[QAItem], config: PipelineConfig,
 # ---------------------------------------------------------------------------
 
 def _combo_tag(result: QuestionResult) -> str:
-    if getattr(result, "combination", None):
-        return result.combination
     return ",".join(r.embedding_model for r in result.records)
 
 

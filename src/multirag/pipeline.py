@@ -79,23 +79,35 @@ def _stage(name: str, fn, *args, **kwargs):
         raise StageError(name, e) from e
 
 
-def _select_ids(row, config: PipelineConfig, corpus: Corpus) -> list[str]:
-    if config.k == 0:
-        return []
-    if config.quotas:
-        return retrieval.top_k_by_kind(row, config.quotas, corpus.kinds())
-    return retrieval.top_k(row, config.k)
+def _row(question_id: str, question: str, model_id: str, corpus: Corpus,
+         config: PipelineConfig, rows: dict | None):
+    """The question's similarity row for one model, scored once per ``rows``."""
+    row = rows.get(model_id) if rows is not None else None
+    if row is None:
+        row = _stage("retrieval", lambda: retrieval.score_all(
+            config.provider(model_id), question, corpus, question_id=question_id))
+        if rows is not None:
+            rows[model_id] = row
+    return row
 
 
 def run_vanilla(question_id: str, question: str, model_id: str,
-                corpus: Corpus, config: PipelineConfig) -> QuestionResult:
-    """Single-model RAG; k = 0 degenerates to the bare-question LLM."""
-    if config.k > 0:
-        row = _stage("retrieval", lambda: retrieval.score_all(
-            config.provider(model_id), question, corpus, question_id=question_id))
-        ids = _select_ids(row, config, corpus)
-    else:
+                corpus: Corpus, config: PipelineConfig,
+                rows: dict | None = None) -> QuestionResult:
+    """Single-model RAG; k = 0 degenerates to the bare-question LLM.
+
+    ``rows`` (model id -> similarity row of this question) supplies rows
+    already scored and receives the ones scored here, so callers running
+    several flows on one question score each model once.
+    """
+    if config.k == 0:
         ids = []
+    else:
+        row = _row(question_id, question, model_id, corpus, config, rows)
+        if config.quotas:
+            ids = retrieval.top_k_by_kind(row, config.quotas)
+        else:
+            ids = retrieval.top_k(row, config.k)
     references = [corpus.get(cid) for cid in ids]
     prompt = _stage("prompt", retrieval.assemble_prompt,
                     config.template, question, references)
@@ -111,21 +123,21 @@ def run_vanilla(question_id: str, question: str, model_id: str,
 
 
 def run_mixture(question_id: str, question: str, model_ids: list[str],
-                corpus: Corpus, config: PipelineConfig) -> QuestionResult:
-    """Fused multi-model retrieval feeding a single generation."""
+                corpus: Corpus, config: PipelineConfig,
+                rows: dict | None = None) -> QuestionResult:
+    """Fused multi-model retrieval feeding a single generation.
+
+    ``rows`` is shared with other flows on the same question as in
+    ``run_vanilla``.
+    """
     if not model_ids:
         raise ValueError("mixture requires at least one model")
     combo = ",".join(model_ids)
     if config.k > 0:
-        rows = [
-            _stage("retrieval", lambda m=mid: retrieval.score_all(
-                config.provider(m), question, corpus, question_id=question_id))
-            for mid in model_ids
-        ]
+        fused_rows = [_row(question_id, question, mid, corpus, config, rows)
+                      for mid in model_ids]
         quotas = config.quotas if (config.quotas and config.quotas_in_mixture) else None
-        candidates = _stage(
-            "fusion", retrieval.fuse, rows, config.k,
-            quotas=quotas, kinds=corpus.kinds() if quotas else None)
+        candidates = _stage("fusion", retrieval.fuse, fused_rows, config.k, quotas=quotas)
         ids = [c.chunk_id for c in candidates]
     else:
         ids = []

@@ -1,37 +1,141 @@
 """Per-model retrieval, Z-score standardization, cross-model fusion, prompts.
 
-Scores live in a ``SimilarityRow`` whose dict preserves corpus ingestion
-order; every tie-break below ("ingestion order") means position in that
-dict. Fusion pools each model's top candidates, deduplicates chunk ids
-keeping the strongest standardized score, and re-sorts globally:
-(standardized score descending, ingestion order ascending), with dedup
-ties going to the lowest model index. All functions here are pure.
+A ``SimilarityRow`` holds one model's scores for one question as an
+array aligned with a ``ChunkIndex``: position ``i`` scores the chunk
+ingested ``i``-th, and every tie-break below ("ingestion order") means
+that position. Scoring a question against a corpus is one matrix-vector
+product with the index's unit-norm chunk matrix. Each row ranks its
+chunks (score descending, ingestion order ascending) and standardizes
+its scores once; top-k, per-kind selection and fusion reuse that work,
+so a row shared by several model combinations is processed once.
+
+Fusion pools each model's top candidates, deduplicates chunk ids keeping
+the strongest standardized score, and re-sorts globally: (standardized
+score descending, ingestion order ascending), with dedup ties going to
+the lowest model index.
 """
 
 from __future__ import annotations
 
+import math
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Corpus, Chunk
+from .corpus import Chunk, ChunkIndex, Corpus
 from .errors import TemplateError
-from .kernels import cosine_scores
 
 
-@dataclass
+class ScoreMap(Mapping):
+    """Read-only ``{chunk id: score}`` view of an array aligned with an index."""
+
+    def __init__(self, index: ChunkIndex, array: np.ndarray):
+        self.index = index
+        self.array = array
+
+    def __getitem__(self, chunk_id: str) -> float:
+        return float(self.array[self.index.position[chunk_id]])
+
+    def __iter__(self):
+        return iter(self.index.ids)
+
+    def __len__(self) -> int:
+        return len(self.index.ids)
+
+
+class _RowScores(ScoreMap):
+    """A row's raw scores; a write drops the ranking and Z-scores cached from them."""
+
+    def __init__(self, row: SimilarityRow):
+        super().__init__(row.index, row.values)
+        self._row = row
+
+    def __setitem__(self, chunk_id: str, score: float) -> None:
+        if not math.isfinite(score):
+            raise ValueError(f"non-finite similarity for chunk {chunk_id!r}")
+        self.array[self.index.position[chunk_id]] = score
+        self._row._cache.clear()
+
+
 class SimilarityRow:
-    model_id: str
-    question_id: str
-    scores: dict[str, float]  # chunk id -> raw cosine similarity, ingestion order
+    """One model's raw cosine similarity of one question to every indexed chunk.
 
-    def __post_init__(self):
-        if not self.scores:
+    ``SimilarityRow(model_id, question_id, {chunk id: score})`` builds a row
+    over an index of those ids in mapping order; ``score_all`` passes the
+    corpus index and an aligned score array instead.
+    """
+
+    def __init__(self, model_id: str, question_id: str, scores,
+                 index: ChunkIndex | None = None):
+        if index is None:
+            index = ChunkIndex(list(scores))
+            scores = np.fromiter(scores.values(), dtype=np.float64, count=len(index))
+        values = np.asarray(scores, dtype=np.float64)
+        if values.shape != (len(index),):
+            raise ValueError("similarity row does not align with its index")
+        if not values.size:
             raise ValueError("similarity row must contain at least one score")
-        for cid, w in self.scores.items():
-            if not np.isfinite(w):
-                raise ValueError(f"non-finite similarity for chunk {cid!r}")
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise ValueError(
+                f"non-finite similarity for chunk {index.ids[int(np.argmin(finite))]!r}")
+        self.model_id = model_id
+        self.question_id = question_id
+        self.index = index
+        self.values = values
+        self._cache: dict = {}
+
+    @property
+    def scores(self) -> ScoreMap:
+        """Chunk id -> raw score, in ingestion order; assignable per chunk."""
+        return _RowScores(self)
+
+    def order(self) -> np.ndarray:
+        """Positions by (score descending, ingestion order ascending)."""
+        if "order" not in self._cache:
+            self._cache["order"] = np.argsort(-self.values, kind="stable")
+        return self._cache["order"]
+
+    def zscores(self) -> np.ndarray:
+        """Read-only Z-scores (population standard deviation) per position.
+
+        A zero-spread row standardizes to all zeros: it carries no ranking
+        information and dividing by zero would poison fusion.
+        """
+        if "z" not in self._cache:
+            v = self.values
+            # zero spread means max == min; testing sigma == 0.0 would miss rows of
+            # identical values whose float mean lands a rounding error away
+            z = np.zeros_like(v) if v.max() == v.min() else (v - v.mean()) / v.std()
+            z.flags.writeable = False
+            self._cache["z"] = z
+        return self._cache["z"]
+
+    def by_kind(self, quotas: dict[str, int],
+                kinds: dict[str, str] | None = None) -> np.ndarray:
+        """Positions of the top ``quotas[kind]`` chunks of each kind, in rank order.
+
+        ``kinds`` maps chunk id -> kind; without it the index's kinds are
+        used, and the selection is cached for the next call.
+        """
+        key = ("kind", tuple(quotas.items()))
+        if kinds is None:
+            if key in self._cache:
+                return self._cache[key]
+            if self.index.kinds is None:
+                raise ValueError("per-kind quotas require a chunk-id -> kind mapping")
+            labels = self.index.kinds
+        else:
+            labels = np.array([kinds[cid] for cid in self.index.ids])
+        order = self.order()
+        ranked = labels[order]
+        ranks = [np.flatnonzero(ranked == kind)[:quota] for kind, quota in quotas.items()]
+        selected = order[np.sort(np.concatenate(ranks))] if ranks else order[:0]
+        if kinds is None:
+            self._cache[key] = selected
+        return selected
 
 
 @dataclass(frozen=True)
@@ -44,64 +148,42 @@ class RetrievalCandidate:
 
 
 def score_all(provider, question: str, corpus: Corpus,
-              kind_filter: str | None = None,
               question_id: str = "") -> SimilarityRow:
-    """Cosine-score the question against every (eligible) corpus chunk."""
-    chunks = [c for c in corpus if kind_filter is None or c.kind == kind_filter]
-    if not chunks:
-        raise ValueError("corpus is empty after kind filtering")
-    vectors = provider.embed([question] + [c.text for c in chunks])
-    matrix = np.stack([v.values for v in vectors[1:]])
-    scores = cosine_scores(vectors[0].values, matrix)
-    return SimilarityRow(
-        model_id=provider.model_id,
-        question_id=question_id,
-        scores={c.id: float(s) for c, s in zip(chunks, scores)},
-    )
+    """Cosine-score the question against every corpus chunk."""
+    if not len(corpus):
+        raise ValueError("cannot score a question against an empty corpus")
+    index = corpus.index()
+    query = provider.embed([question])[0].values
+    scores = index.matrix(provider) @ (query / np.linalg.norm(query))
+    np.clip(scores, -1.0, 1.0, out=scores)
+    return SimilarityRow(provider.model_id, question_id, scores, index)
 
 
 def top_k(row: SimilarityRow, k: int) -> list[str]:
     """The k highest-scoring chunk ids, ties broken by ingestion order."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    ranked = sorted(
-        enumerate(row.scores.items()),
-        key=lambda item: (-item[1][1], item[0]),
-    )
-    return [cid for _, (cid, _) in ranked[:k]]
+    ids = row.index.ids
+    return [ids[i] for i in row.order()[:k]]
 
 
 def top_k_by_kind(row: SimilarityRow, quotas: dict[str, int],
-                  kinds: dict[str, str]) -> list[str]:
-    """Per-kind top selection; output merged in global score order."""
-    ranked = sorted(
-        enumerate(row.scores.items()),
-        key=lambda item: (-item[1][1], item[0]),
-    )
-    taken: dict[str, int] = {k: 0 for k in quotas}
-    out = []
-    for _, (cid, _) in ranked:
-        kind = kinds[cid]
-        if kind in quotas and taken[kind] < quotas[kind]:
-            taken[kind] += 1
-            out.append(cid)
-    return out
+                  kinds: dict[str, str] | None = None) -> list[str]:
+    """Per-kind top selection; output merged in global score order.
+
+    ``kinds`` maps chunk id -> kind and defaults to the kinds of the
+    row's corpus index.
+    """
+    ids = row.index.ids
+    return [ids[i] for i in row.by_kind(quotas, kinds)]
 
 
-def standardize(row: SimilarityRow) -> dict[str, float]:
+def standardize(row: SimilarityRow) -> ScoreMap:
     """Z-scores over all scores in the row (population standard deviation).
 
-    A zero-spread row standardizes to all zeros: it carries no ranking
-    information and dividing by zero would poison fusion.
+    A zero-spread row standardizes to all zeros.
     """
-    values = np.fromiter(row.scores.values(), dtype=np.float64)
-    # zero spread means max == min; testing sigma == 0.0 would miss rows of
-    # identical values whose float mean lands a rounding error away
-    if values.max() == values.min():
-        return {cid: 0.0 for cid in row.scores}
-    mu = values.mean()
-    sigma = values.std()  # population (1/m) by numpy default
-    return {cid: float((w - mu) / sigma) for cid, w in row.scores.items()}
+    return ScoreMap(row.index, row.zscores())
 
 
 def fuse(rows: list[SimilarityRow], k: int,
@@ -114,49 +196,46 @@ def fuse(rows: list[SimilarityRow], k: int,
     ranges are comparable. Duplicated chunk ids keep the maximum
     standardized score (ties: lowest model index); the pooled survivors
     are sorted by (standardized desc, ingestion order asc) and cut to k
-    or to the per-kind quotas.
+    or to the per-kind quotas. ``kinds`` (chunk id -> kind) defaults to
+    the kinds of the rows' corpus index.
     """
     if not rows:
         raise ValueError("fuse requires at least one row")
-    key_order = list(rows[0].scores.keys())
+    index = rows[0].index
     for row in rows[1:]:
-        if list(row.scores.keys()) != key_order:
+        if row.index is not index and row.index.ids != index.ids:
             raise ValueError("rows score different corpora or different chunk orders")
-    if quotas is not None and kinds is None:
-        raise ValueError("per-kind quotas require a chunk-id -> kind mapping")
 
-    position = {cid: i for i, cid in enumerate(key_order)}
-
-    # per-model candidates at their standardized scores
-    pooled: dict[str, tuple[float, int, RetrievalCandidate]] = {}
-    for model_index, row in enumerate(rows):
-        zs = standardize(row)
+    # per-model candidates at their standardized scores, by position
+    pooled: dict[int, RetrievalCandidate] = {}
+    for row in rows:
+        zs = standardize(row).array
         if quotas is not None:
             selected = top_k_by_kind(row, quotas, kinds)
         else:
             selected = top_k(row, k)
         for rank, cid in enumerate(selected, start=1):
+            pos = index.position[cid]
             cand = RetrievalCandidate(
-                model_id=row.model_id, chunk_id=cid, raw=row.scores[cid],
-                standardized=zs[cid], rank_within_model=rank)
-            best = pooled.get(cid)
-            if best is None or cand.standardized > best[0]:
-                pooled[cid] = (cand.standardized, model_index, cand)
+                model_id=row.model_id, chunk_id=cid, raw=float(row.values[pos]),
+                standardized=float(zs[pos]), rank_within_model=rank)
+            best = pooled.get(pos)
+            if best is None or cand.standardized > best.standardized:
+                pooled[pos] = cand
             # equal scores keep the earlier model (lowest index): no update
 
-    merged = sorted(pooled.values(), key=lambda t: (-t[0], position[t[2].chunk_id]))
-    candidates = [t[2] for t in merged]
+    merged = sorted(pooled.items(), key=lambda item: (-item[1].standardized, item[0]))
 
     if quotas is not None:
         taken = {kind: 0 for kind in quotas}
         out = []
-        for cand in candidates:
-            kind = kinds[cand.chunk_id]
+        for pos, cand in merged:
+            kind = kinds[cand.chunk_id] if kinds is not None else index.kinds[pos]
             if kind in quotas and taken[kind] < quotas[kind]:
                 taken[kind] += 1
                 out.append(cand)
         return out
-    return candidates[:k]
+    return [cand for _, cand in merged[:k]]
 
 
 _PLACEHOLDER = re.compile(r"\{\{(question|references)\}\}")

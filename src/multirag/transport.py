@@ -24,15 +24,25 @@ def bearer_headers(api_key_env: str | None) -> dict[str, str]:
     return headers
 
 
+def _retry_after(resp) -> float | None:
+    """Seconds asked for by an integer ``Retry-After`` header, else None."""
+    value = resp.headers.get("Retry-After", "").strip()
+    return float(value) if value.isdigit() else None
+
+
 def post_json(url: str, payload: dict, headers: dict[str, str],
               timeout: float = 30.0, retries: int = 2, backoff: float = 0.5) -> dict:
     """POST JSON and return the decoded JSON body.
 
-    Connection failures and 5xx responses are retried with exponential
-    backoff; 4xx responses are fatal immediately.
+    Connection failures, 5xx responses and 429 (rate limited) responses
+    are retried with exponential backoff; other 4xx responses are fatal
+    immediately. A retried response carrying an integer ``Retry-After``
+    is waited out for that many seconds instead, but never for less than
+    the backoff nor for longer than ``timeout``.
     """
     last: Exception | None = None
     for attempt in range(retries + 1):
+        asked = None
         try:
             resp = requests.post(url, json=payload, headers=headers, timeout=timeout)
         except (requests.ConnectionError, requests.Timeout) as e:
@@ -43,11 +53,14 @@ def post_json(url: str, payload: dict, headers: dict[str, str],
                     return resp.json()
                 except ValueError as e:
                     raise TransportError(f"{url}: response is not JSON: {e}") from e
-            if resp.status_code < 500:
+            if resp.status_code < 500 and resp.status_code != 429:
                 raise TransportError(f"{url}: HTTP {resp.status_code}: {resp.text[:200]}")
             last = TransportError(f"{url}: HTTP {resp.status_code}")
+            asked = _retry_after(resp)
         if attempt < retries:
             delay = backoff * (2 ** attempt)
+            if asked is not None:
+                delay = max(delay, min(asked, timeout))
             log.warning("retrying %s after failure (%s), attempt %d", url, last, attempt + 2)
             if delay > 0:
                 time.sleep(delay)

@@ -45,12 +45,13 @@ class _StubHandler(BaseHTTPRequestHandler):
             "body": body,
         })
         handler = self.server.routes.get(self.path)
-        if handler is None:
-            status, payload = 404, {"error": "no route"}
-        else:
-            status, payload = handler(body)
+        # a route returns (status, payload) or (status, payload, extra headers)
+        reply = (404, {"error": "no route"}) if handler is None else handler(body)
+        status, payload, *extra = reply
         data = json.dumps(payload).encode()
         self.send_response(status)
+        for name, value in (extra[0] if extra else {}).items():
+            self.send_header(name, value)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()

@@ -126,3 +126,55 @@ class TestProviderCache:
 
         with pytest.raises(DimensionMismatchError):
             Broken("bad", dim=4).embed(["a", "b"])
+
+
+class Fixed(DeterministicProvider):
+    """Provider whose batches are given rows, one per text."""
+
+    def __init__(self, rows, batch_size=1024):
+        super().__init__("fixed", dim=2)
+        self.rows = [np.asarray(r, dtype=float) for r in rows]
+        self.batch_size = batch_size
+        self.calls = []
+
+    def _compute_batch(self, texts):
+        self.calls.append(list(texts))
+        return [self.rows[int(t)] for t in texts]
+
+
+class TestBlockValidation:
+    """embed_matrix holds a whole block to EmbeddingVector's rules."""
+
+    @pytest.mark.parametrize("rows, error", [
+        ([[1.0, 2.0], [0.0, 0.0]], ZeroVectorError),
+        ([[1.0, 2.0], [1.0, float("nan")]], ValueError),
+        ([[1.0, 2.0], [float("inf"), 1.0]], ValueError),
+        ([[1.0, 2.0], [1.0, 2.0, 3.0]], DimensionMismatchError),
+        ([[1.0, 2.0], []], ValueError),
+    ])
+    def test_bad_row_rejected(self, rows, error):
+        with pytest.raises(error):
+            Fixed(rows).embed_matrix([str(i) for i in range(len(rows))])
+
+    def test_dimension_checked_across_batches_and_calls(self):
+        rows = [[1.0, 2.0], [3.0, 4.0], [1.0, 2.0, 3.0]]
+        with pytest.raises(DimensionMismatchError):
+            Fixed(rows, batch_size=2).embed_matrix(["0", "1", "2"])
+        provider = Fixed(rows)
+        provider.embed(["0"])
+        with pytest.raises(DimensionMismatchError):
+            provider.embed_matrix(["2"])
+
+    def test_matrix_matches_embed_and_bypasses_cache(self):
+        rows = [[float(i + 1), float(-i)] for i in range(5)]
+        provider = Fixed(rows, batch_size=2)
+        texts = ["3", "0", "4", "1", "2"]
+        matrix = provider.embed_matrix(texts)
+        assert provider.calls == [["3", "0"], ["4", "1"], ["2"]]
+        assert np.array_equal(matrix, np.array([rows[int(t)] for t in texts]))
+        assert np.array_equal(provider.embed(["4"])[0].values, matrix[2])
+        assert provider.calls[-1] == ["4"]  # computed again: the block was not cached
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            DeterministicProvider("det-a").embed_matrix([])

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from multirag import retrieval
 from multirag.confidence import METRICS, ConfidenceScore
 from multirag.embedding import DeterministicProvider
 from multirag.evaluation import (
@@ -19,9 +20,16 @@ from multirag.evaluation import (
     render_tables,
     run_sweep,
     vanilla_records_with_correctness,
+    write_report_files,
 )
 from multirag.generation import DecodeParams, GenerationRecord, MockBackend
-from multirag.pipeline import PipelineConfig, QuestionResult, run_confident
+from multirag.pipeline import (
+    PipelineConfig,
+    QuestionResult,
+    run_confident,
+    run_mixture,
+    run_vanilla,
+)
 from multirag.retrieval import PromptTemplate
 
 from conftest import build_corpus
@@ -189,6 +197,47 @@ class TestSweep:
                 sum(section["per_combination"].values())
                 / len(section["per_combination"]))
         assert len(report.questions) == 4
+
+    @pytest.mark.parametrize("quotas", [None, {"qa": 2, "textbook": 1}])
+    def test_rows_scored_once_and_shared(self, monkeypatch, quotas):
+        corpus, config, items = sweep_setup(n_questions=3)
+        config.quotas = quotas
+        calls = []
+        score_all = retrieval.score_all
+
+        def counting(provider, question, corpus, question_id=""):
+            calls.append((question_id, provider.model_id))
+            return score_all(provider, question, corpus, question_id=question_id)
+
+        monkeypatch.setattr(retrieval, "score_all", counting)
+        results = run_sweep(corpus, items, config, pipelines=["vanilla", "mixture"],
+                            sizes=[2, 3], include_vanilla_llm=False)
+        assert sorted(calls) == sorted(
+            (item.id, mid) for item in items for mid in config.model_ids)
+
+        combos = model_combinations(config.model_ids, [2, 3])
+        fresh = []
+        for item in items:
+            fresh += [run_vanilla(item.id, item.question, mid, corpus, config)
+                      for mid in config.model_ids]
+            fresh += [run_mixture(item.id, item.question, list(c), corpus, config)
+                      for c in combos]
+        assert [(r.question_id, r.pipeline, r.retrieved, r.records[0].prompt, r.answer)
+                for r in results] == [
+               (r.question_id, r.pipeline, r.retrieved, r.records[0].prompt, r.answer)
+               for r in fresh]
+
+    def test_concurrent_report_byte_identical(self, tmp_path):
+        def report_bytes(concurrency):
+            corpus, config, items = sweep_setup(n_questions=6)
+            config.concurrency = concurrency
+            results = run_sweep(corpus, items, config,
+                                pipelines=["vanilla", "mixture", "confident"], sizes=[2, 3])
+            outdir = tmp_path / f"c{concurrency}"
+            write_report_files(outdir, aggregate(results, items), {}, config.model_ids)
+            return (outdir / "report.json").read_bytes()
+
+        assert report_bytes(2) == report_bytes(1)
 
     def test_detail_supports_recount(self):
         corpus, config, items = sweep_setup(n_questions=5)

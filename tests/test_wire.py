@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from multirag import transport
 from multirag.embedding import RemoteProvider
 from multirag.errors import (
     ConfigError,
@@ -167,3 +168,51 @@ class TestTransport:
         with pytest.raises(TransportError):
             provider.embed(["a"])
         assert len(stub_server.requests) == 1
+
+    @pytest.fixture
+    def sleeps(self, monkeypatch):
+        waited = []
+        monkeypatch.setattr(transport.time, "sleep", waited.append)
+        return waited
+
+    def test_rate_limited_then_success(self, stub_server, sleeps):
+        replies = [(429, {"error": "slow down"})]
+
+        def limited(body):
+            return replies.pop() if replies else embeddings_route()(body)
+
+        stub_server.route("/v1/embeddings", limited)
+        provider = RemoteProvider("emb-x", endpoint=stub_server.url,
+                                  retries=2, backoff=0.25)
+        assert provider.embed(["a"])[0].dim == 4
+        assert len(stub_server.requests) == 2
+        assert sleeps == [0.25]
+
+    @pytest.mark.parametrize("status, retry_after, backoff, timeout, wait", [
+        (429, "3", 0.5, 30.0, 3.0),     # Retry-After longer than the backoff
+        (503, "2", 0.5, 30.0, 2.0),     # honoured on a 5xx as well
+        (429, "1", 4.0, 30.0, 4.0),     # never shorter than the backoff
+        (429, "600", 0.5, 5.0, 5.0),    # never longer than the call's timeout
+        (429, "Wed, 21 Oct 2015 07:28:00 GMT", 0.5, 30.0, 0.5),  # dates ignored
+    ])
+    def test_retry_after_sets_the_wait(self, stub_server, sleeps, status, retry_after,
+                                       backoff, timeout, wait):
+        replies = [(status, {"error": "busy"}, {"Retry-After": retry_after})]
+
+        def limited(body):
+            return replies.pop() if replies else embeddings_route()(body)
+
+        stub_server.route("/v1/embeddings", limited)
+        provider = RemoteProvider("emb-x", endpoint=stub_server.url, retries=1,
+                                  backoff=backoff, timeout=timeout)
+        provider.embed(["a"])
+        assert sleeps == [wait]
+
+    def test_client_error_with_retry_after_not_retried(self, stub_server, sleeps):
+        stub_server.route("/v1/embeddings",
+                          lambda body: (400, {"error": "bad"}, {"Retry-After": "1"}))
+        provider = RemoteProvider("emb-x", endpoint=stub_server.url, retries=3)
+        with pytest.raises(TransportError):
+            provider.embed(["a"])
+        assert len(stub_server.requests) == 1
+        assert sleeps == []
