@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .generation import GenerationRecord, TokenStep
 
 EPSILON = 1e-12
@@ -57,8 +56,19 @@ def _check_metric(metric: str) -> None:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
 
 
-def steps_to_arrays(steps: list[TokenStep]):
-    """Pack ragged step distributions into the kernel array layout."""
+def raw_scores(steps: list[TokenStep]) -> dict[str, float]:
+    """The five raw metrics of one completion, keyed by metric name.
+
+    The steps are packed once into the truncated-distribution layout:
+
+      probs  (n, kmax) float64  listed probabilities, row i valid up to lens[i]
+      lens   (n,)      int64    number of listed entries per step
+      tails  (n,)      float64  probability mass not listed (>= 0)
+      vocabs (n,)      int64    vocabulary size per step (>= lens[i])
+
+    Each step's tail mass is spread uniformly over its
+    ``vocabs[i] - lens[i]`` unlisted tokens (``u`` per token).
+    """
     if not steps:
         raise ValueError("confidence metrics require at least one step")
     kmax = max(len(s.dist) for s in steps)
@@ -74,56 +84,52 @@ def steps_to_arrays(steps: list[TokenStep]):
         tails[i] = s.tail_mass
         vocabs[i] = s.vocab_size
         chosen[i] = s.prob
-    return probs, lens, tails, vocabs, chosen
+
+    mask = np.arange(kmax)[None, :] < lens[:, None]
+    p = np.where(mask, probs, 0.0)
+    unlisted = vocabs - lens
+    u = np.where(unlisted > 0, tails / np.maximum(unlisted, 1), 0.0)
+
+    terms = np.where(p > 0.0, -p * np.log(np.maximum(p, EPSILON)), 0.0)
+    ents = terms.sum(axis=1) + np.where(
+        u > 0.0, -u * np.log(np.maximum(u, EPSILON)) * unlisted, 0.0)
+    ginis = (p * p).sum(axis=1) + u * u * unlisted
+    v = vocabs.astype(np.float64)
+    listed = np.where(mask, np.log(np.maximum(probs, EPSILON) * v[:, None]), 0.0).sum(axis=1)
+    tail = unlisted * np.log(v * np.maximum(u, EPSILON))
+    certainties = -(listed + np.where(unlisted > 0, tail, 0.0)) / v
+    return {
+        "avg-log-p": float(np.log(np.maximum(chosen, EPSILON)).mean()),
+        "self-certainty": float(certainties.mean()),
+        "gini": float(ginis.mean()),
+        "entropy": float(ents.mean()),
+        "dp": float(np.exp(ents).mean()),
+    }
 
 
 def avg_log_p(steps: list[TokenStep]) -> float:
-    _, _, _, _, chosen = steps_to_arrays(steps)
-    return float(kernels.avg_log_p_kernel(chosen, EPSILON))
+    return raw_scores(steps)["avg-log-p"]
 
 
 def gini(steps: list[TokenStep]) -> float:
-    probs, lens, tails, vocabs, _ = steps_to_arrays(steps)
-    return float(kernels.gini_per_step(probs, lens, tails, vocabs).mean())
+    return raw_scores(steps)["gini"]
 
 
 def entropy(steps: list[TokenStep]) -> float:
-    probs, lens, tails, vocabs, _ = steps_to_arrays(steps)
-    return float(kernels.step_entropies(probs, lens, tails, vocabs, EPSILON).mean())
+    return raw_scores(steps)["entropy"]
 
 
 def dp(steps: list[TokenStep]) -> float:
-    probs, lens, tails, vocabs, _ = steps_to_arrays(steps)
-    ents = kernels.step_entropies(probs, lens, tails, vocabs, EPSILON)
-    return float(np.exp(ents).mean())
+    return raw_scores(steps)["dp"]
 
 
 def self_certainty(steps: list[TokenStep]) -> float:
-    probs, lens, tails, vocabs, _ = steps_to_arrays(steps)
-    return float(kernels.self_certainty_per_step(probs, lens, tails, vocabs, EPSILON).mean())
-
-
-_COMPUTE = {
-    "avg-log-p": avg_log_p,
-    "self-certainty": self_certainty,
-    "gini": gini,
-    "entropy": entropy,
-    "dp": dp,
-}
+    return raw_scores(steps)["self-certainty"]
 
 
 def score_record(record: GenerationRecord) -> GenerationRecord:
     """Fill record.confidence with all five metrics (raw and oriented)."""
-    probs, lens, tails, vocabs, chosen = steps_to_arrays(record.steps)
-    ents = kernels.step_entropies(probs, lens, tails, vocabs, EPSILON)
-    raws = {
-        "avg-log-p": float(kernels.avg_log_p_kernel(chosen, EPSILON)),
-        "self-certainty": float(
-            kernels.self_certainty_per_step(probs, lens, tails, vocabs, EPSILON).mean()),
-        "gini": float(kernels.gini_per_step(probs, lens, tails, vocabs).mean()),
-        "entropy": float(ents.mean()),
-        "dp": float(np.exp(ents).mean()),
-    }
+    raws = raw_scores(record.steps)
     record.confidence = {m: orient(m, raws[m]) for m in METRICS}
     return record
 

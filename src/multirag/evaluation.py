@@ -119,17 +119,6 @@ def model_combinations(model_ids: list[str], sizes: list[int]) -> list[tuple[str
     return combos
 
 
-def confident_from_records(question_id: str, records: list[GenerationRecord],
-                           metric: str,
-                           retrieved: dict[str, list[str]] | None = None) -> QuestionResult:
-    """Assemble a confident-mode result from already-scored records."""
-    winner, index = confidence.select_most_confident(records, metric)
-    return QuestionResult(
-        question_id=question_id, pipeline="confident", answer=winner.completion,
-        winner_index=index, records=records,
-        retrieved=retrieved or {r.embedding_model: [] for r in records})
-
-
 def run_sweep(corpus: Corpus, items: list[QAItem], config: PipelineConfig,
               pipelines: list[str], sizes: list[int],
               include_vanilla_llm: bool = True) -> list[QuestionResult]:
@@ -165,7 +154,7 @@ def run_sweep(corpus: Corpus, items: list[QAItem], config: PipelineConfig,
             for combo in combos:
                 records = [by_model[mid].records[0] for mid in combo]
                 retrieved = {mid: by_model[mid].retrieved[mid] for mid in combo}
-                out.append(confident_from_records(
+                out.append(pipeline.confident_from_records(
                     item.id, records, config.metric, retrieved=retrieved))
         return out
 

@@ -1,207 +1,17 @@
-"""Numeric hot paths: cosine scoring and token-distribution sums.
+"""Reference cosine scorer.
 
-Every kernel exists twice: a plain numpy implementation and a numba
-``@njit`` version compiled from explicit loops. The numba path is used
-when available; set ``MULTIRAG_DISABLE_NUMBA=1`` to force the numpy
-fallback (the benchmark in ``benchmarks/bench_kernels.py`` compares the
-two). Both paths agree within float tolerance but are not bit-identical,
-so report-level byte determinism holds per selected path.
-
-Truncated token distributions are described by four arrays:
-
-  probs  (n, kmax) float64  listed probabilities, row i valid up to lens[i]
-  lens   (n,)      int64    number of listed entries per step
-  tails  (n,)      float64  probability mass not listed (>= 0)
-  vocabs (n,)      int64    vocabulary size per step (>= lens[i])
-
-The completion rule spreads each step's tail mass uniformly over the
-``vocabs[i] - lens[i]`` unlisted tokens; probabilities are floored at
-``eps`` before any logarithm.
+Retrieval scores against the index's unit-norm chunk matrix; this plain
+cosine over raw vectors is what the tests compare it with.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
-_ENV_FLAG = "MULTIRAG_DISABLE_NUMBA"
 
-
-def _numba_disabled() -> bool:
-    return os.environ.get(_ENV_FLAG, "").strip().lower() in {"1", "true", "yes"}
-
-
-# ---------------------------------------------------------------------------
-# numpy implementations (always defined; the selected fallback path)
-# ---------------------------------------------------------------------------
-
-def _cosine_scores_np(query: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+def cosine_scores(query: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Cosine of ``query`` with every row of ``matrix``, clamped to [-1, 1]."""
     qn = np.linalg.norm(query)
     norms = np.linalg.norm(matrix, axis=1)
     scores = (matrix @ query) / (norms * qn)
     return np.clip(scores, -1.0, 1.0)
-
-
-def _dist_mask(probs: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    return np.arange(probs.shape[1])[None, :] < lens[:, None]
-
-
-def _tail_per_token(lens, tails, vocabs):
-    unlisted = vocabs - lens
-    with np.errstate(invalid="ignore", divide="ignore"):
-        u = np.where(unlisted > 0, tails / np.maximum(unlisted, 1), 0.0)
-    return unlisted, u
-
-
-def _step_entropies_np(probs, lens, tails, vocabs, eps: float) -> np.ndarray:
-    mask = _dist_mask(probs, lens)
-    p = np.where(mask, probs, 0.0)
-    terms = np.where(p > 0.0, -p * np.log(np.maximum(p, eps)), 0.0)
-    ent = terms.sum(axis=1)
-    unlisted, u = _tail_per_token(lens, tails, vocabs)
-    tail_term = np.where(u > 0.0, -u * np.log(np.maximum(u, eps)) * unlisted, 0.0)
-    return ent + tail_term
-
-
-def _gini_per_step_np(probs, lens, tails, vocabs) -> np.ndarray:
-    mask = _dist_mask(probs, lens)
-    p = np.where(mask, probs, 0.0)
-    g = (p * p).sum(axis=1)
-    unlisted, u = _tail_per_token(lens, tails, vocabs)
-    return g + u * u * unlisted
-
-
-def _self_certainty_per_step_np(probs, lens, tails, vocabs, eps: float) -> np.ndarray:
-    mask = _dist_mask(probs, lens)
-    v = vocabs.astype(np.float64)
-    scaled = np.maximum(probs, eps) * v[:, None]
-    listed = np.where(mask, np.log(scaled), 0.0).sum(axis=1)
-    unlisted, u = _tail_per_token(lens, tails, vocabs)
-    tail = unlisted * np.log(v * np.maximum(u, eps))
-    return -(listed + np.where(unlisted > 0, tail, 0.0)) / v
-
-
-def _avg_log_p_np(chosen: np.ndarray, eps: float) -> float:
-    return float(np.log(np.maximum(chosen, eps)).mean())
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-HAVE_NUMBA = False
-if not _numba_disabled():
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:
-        HAVE_NUMBA = False
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _cosine_scores_nb(query, matrix):  # pragma: no cover - exercised via parity tests
-        m, d = matrix.shape
-        qn = 0.0
-        for j in range(d):
-            qn += query[j] * query[j]
-        qn = math.sqrt(qn)
-        out = np.empty(m, dtype=np.float64)
-        for i in range(m):
-            dot = 0.0
-            nrm = 0.0
-            for j in range(d):
-                dot += matrix[i, j] * query[j]
-                nrm += matrix[i, j] * matrix[i, j]
-            s = dot / (math.sqrt(nrm) * qn)
-            if s > 1.0:
-                s = 1.0
-            elif s < -1.0:
-                s = -1.0
-            out[i] = s
-        return out
-
-    @njit(cache=True)
-    def _step_entropies_nb(probs, lens, tails, vocabs, eps):  # pragma: no cover
-        n = probs.shape[0]
-        out = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            s = 0.0
-            for j in range(lens[i]):
-                p = probs[i, j]
-                if p > 0.0:
-                    s += -p * math.log(max(p, eps))
-            unlisted = vocabs[i] - lens[i]
-            if unlisted > 0 and tails[i] > 0.0:
-                u = tails[i] / unlisted
-                s += -u * math.log(max(u, eps)) * unlisted
-            out[i] = s
-        return out
-
-    @njit(cache=True)
-    def _gini_per_step_nb(probs, lens, tails, vocabs):  # pragma: no cover
-        n = probs.shape[0]
-        out = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            s = 0.0
-            for j in range(lens[i]):
-                s += probs[i, j] * probs[i, j]
-            unlisted = vocabs[i] - lens[i]
-            if unlisted > 0 and tails[i] > 0.0:
-                u = tails[i] / unlisted
-                s += u * u * unlisted
-            out[i] = s
-        return out
-
-    @njit(cache=True)
-    def _self_certainty_per_step_nb(probs, lens, tails, vocabs, eps):  # pragma: no cover
-        n = probs.shape[0]
-        out = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            v = float(vocabs[i])
-            s = 0.0
-            for j in range(lens[i]):
-                s += math.log(v * max(probs[i, j], eps))
-            unlisted = vocabs[i] - lens[i]
-            if unlisted > 0:
-                u = tails[i] / unlisted
-                s += unlisted * math.log(v * max(u, eps))
-            out[i] = -s / v
-        return out
-
-    @njit(cache=True)
-    def _avg_log_p_nb(chosen, eps):  # pragma: no cover
-        s = 0.0
-        for i in range(chosen.shape[0]):
-            s += math.log(max(chosen[i], eps))
-        return s / chosen.shape[0]
-
-    cosine_scores = _cosine_scores_nb
-    step_entropies = _step_entropies_nb
-    gini_per_step = _gini_per_step_nb
-    self_certainty_per_step = _self_certainty_per_step_nb
-    avg_log_p_kernel = _avg_log_p_nb
-else:
-    cosine_scores = _cosine_scores_np
-    step_entropies = _step_entropies_np
-    gini_per_step = _gini_per_step_np
-    self_certainty_per_step = _self_certainty_per_step_np
-    avg_log_p_kernel = _avg_log_p_np
-
-USING_NUMBA = HAVE_NUMBA
-
-
-def warmup() -> None:
-    """Trigger JIT compilation on tiny inputs (no-op for the numpy path)."""
-    probs = np.array([[0.5, 0.25]], dtype=np.float64)
-    lens = np.array([2], dtype=np.int64)
-    tails = np.array([0.25], dtype=np.float64)
-    vocabs = np.array([4], dtype=np.int64)
-    step_entropies(probs, lens, tails, vocabs, 1e-12)
-    gini_per_step(probs, lens, tails, vocabs)
-    self_certainty_per_step(probs, lens, tails, vocabs, 1e-12)
-    avg_log_p_kernel(np.array([0.5]), 1e-12)
-    cosine_scores(np.array([1.0, 0.0]), np.array([[1.0, 1.0], [0.0, 2.0]]))

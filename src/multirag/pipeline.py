@@ -20,8 +20,8 @@ from dataclasses import dataclass, field, replace
 
 from . import confidence, retrieval
 from .corpus import Corpus
-from .errors import MultiragError, StageError
-from .generation import DecodeParams, derive_seed, generate
+from .errors import StageError
+from .generation import DecodeParams, GenerationRecord, derive_seed, generate
 from .retrieval import PromptTemplate
 
 log = logging.getLogger(__name__)
@@ -73,8 +73,6 @@ class QuestionResult:
 def _stage(name: str, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
-    except MultiragError as e:
-        raise StageError(name, e) from e
     except Exception as e:  # noqa: BLE001 - annotate every stage failure
         raise StageError(name, e) from e
 
@@ -184,9 +182,16 @@ def run_confident(question_id: str, question: str, model_ids: list[str],
     if not survivors:
         raise StageError("confident", outcomes[0])
 
-    records = [r.records[0] for _, r in survivors]
-    winner, index = confidence.select_most_confident(records, config.metric)
-    retrieved = {mid: r.retrieved[mid] for mid, r in survivors}
+    return confident_from_records(
+        question_id, [r.records[0] for _, r in survivors], config.metric,
+        {mid: r.retrieved[mid] for mid, r in survivors})
+
+
+def confident_from_records(question_id: str, records: list[GenerationRecord],
+                           metric: str,
+                           retrieved: dict[str, list[str]]) -> QuestionResult:
+    """Assemble a confident-mode result from already-scored vanilla records."""
+    winner, index = confidence.select_most_confident(records, metric)
     return QuestionResult(
         question_id=question_id, pipeline="confident", answer=winner.completion,
         winner_index=index, records=records, retrieved=retrieved)

@@ -6,15 +6,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from multirag import kernels
 from multirag.corpus import Chunk, Corpus
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # compile (or cache-load) the JIT kernels so timed tests measure the
-    # algorithm, not compilation
-    kernels.warmup()
 
 
 def build_corpus(n_qa: int = 8, n_textbook: int = 2) -> Corpus:
@@ -66,7 +58,9 @@ class StubServer:
         self.server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
         self.server.requests = []
         self.server.routes = {}
-        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        # a short poll keeps shutdown() in close() from waiting out the 0.5 s default
+        self.thread = threading.Thread(target=self.server.serve_forever,
+                                       kwargs={"poll_interval": 0.01}, daemon=True)
         self.thread.start()
 
     @property

@@ -2,8 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines and timings. Random cases use fixed seeds, so every run checks the
-same instances. JIT warm-up happens in a session fixture before any timer
-starts.
+same instances.
 """
 
 import json

@@ -37,6 +37,12 @@ def test_closed_form_cases(metric, build, expected, tol):
     assert COMPUTE[metric](steps) == pytest.approx(expected, abs=tol)
 
 
+def test_tail_spread_zero_unlisted():
+    # fully listed distribution: a rounding tail has no token to go to
+    steps = [make_step([0.5, 0.5], tail=1e-7, vocab=2)]
+    assert entropy(steps) == pytest.approx(np.log(2), abs=1e-12)
+
+
 def random_full_steps(rng, n_steps=None, vocab=None):
     n_steps = n_steps or int(rng.integers(1, 9))
     vocab = vocab or int(rng.integers(2, 20))

@@ -1,81 +1,13 @@
-"""Parity between the numba kernels and the pure-numpy fallbacks."""
+"""The numpy reference cosine scorer."""
 
 import numpy as np
-import pytest
 
 from multirag import kernels
-
-
-def random_arrays(rng, n=None, kmax=None):
-    n = n or int(rng.integers(1, 12))
-    kmax = kmax or int(rng.integers(2, 24))
-    lens = rng.integers(1, kmax + 1, size=n).astype(np.int64)
-    probs = np.zeros((n, kmax))
-    tails = np.zeros(n)
-    vocabs = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        full = rng.dirichlet([0.8] * (lens[i] + int(rng.integers(0, 5))))
-        listed = np.sort(full)[::-1][:lens[i]]
-        probs[i, :lens[i]] = listed
-        tails[i] = max(0.0, 1.0 - listed.sum())
-        vocabs[i] = lens[i] + int(rng.integers(0, 10))
-        if tails[i] > 0 and vocabs[i] == lens[i]:
-            vocabs[i] += 1
-    return probs, lens, tails, vocabs
-
-
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba path not active")
-class TestNumbaParity:
-    def test_distribution_kernels(self):
-        rng = np.random.default_rng(31)
-        for _ in range(100):
-            probs, lens, tails, vocabs = random_arrays(rng)
-            np.testing.assert_allclose(
-                kernels._step_entropies_nb(probs, lens, tails, vocabs, 1e-12),
-                kernels._step_entropies_np(probs, lens, tails, vocabs, 1e-12),
-                atol=1e-12)
-            np.testing.assert_allclose(
-                kernels._gini_per_step_nb(probs, lens, tails, vocabs),
-                kernels._gini_per_step_np(probs, lens, tails, vocabs),
-                atol=1e-12)
-            np.testing.assert_allclose(
-                kernels._self_certainty_per_step_nb(probs, lens, tails, vocabs, 1e-12),
-                kernels._self_certainty_per_step_np(probs, lens, tails, vocabs, 1e-12),
-                atol=1e-12)
-
-    def test_avg_log_p(self):
-        rng = np.random.default_rng(32)
-        chosen = rng.uniform(1e-6, 1.0, size=50)
-        assert kernels._avg_log_p_nb(chosen, 1e-12) == pytest.approx(
-            kernels._avg_log_p_np(chosen, 1e-12), abs=1e-12)
-
-    def test_cosine_scores(self):
-        rng = np.random.default_rng(33)
-        for _ in range(20):
-            d = int(rng.integers(2, 64))
-            m = int(rng.integers(1, 100))
-            q = rng.normal(size=d)
-            mat = rng.normal(size=(m, d))
-            np.testing.assert_allclose(
-                kernels._cosine_scores_nb(q, mat),
-                kernels._cosine_scores_np(q, mat), atol=1e-12)
 
 
 class TestNumpyPath:
     def test_clamp(self):
         q = np.array([1.0, 0.0])
         mat = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        out = kernels._cosine_scores_np(q, mat)
+        out = kernels.cosine_scores(q, mat)
         assert out[0] == 1.0 and out[1] == -1.0
-
-    def test_tail_spread_zero_unlisted(self):
-        # fully listed distribution: tail must be ignored
-        probs = np.array([[0.5, 0.5]])
-        lens = np.array([2], dtype=np.int64)
-        tails = np.array([0.0])
-        vocabs = np.array([2], dtype=np.int64)
-        ent = kernels._step_entropies_np(probs, lens, tails, vocabs, 1e-12)
-        assert ent[0] == pytest.approx(np.log(2), abs=1e-12)
-
-    def test_env_flag_reported(self):
-        assert isinstance(kernels.USING_NUMBA, bool)
