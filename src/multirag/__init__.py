@@ -14,7 +14,7 @@ from .confidence import (
     self_certainty,
 )
 from .corpus import Chunk, ChunkIndex, Corpus
-from .embedding import DeterministicProvider, EmbeddingVector, RemoteProvider, cosine
+from .embedding import DeterministicProvider, EmbeddingVector, RemoteProvider
 from .evaluation import (
     AccuracyReport,
     QAItem,

@@ -45,7 +45,6 @@ _DEFAULTS = {
     "retrieval": {
         "k": 4,
         "quotas": {"textbook": 1, "qa": 3},
-        "quotas_in_mixture": True,
         "template_path": None,
     },
     "confidence": {"metric": "self-certainty"},
@@ -234,7 +233,6 @@ def build_pipeline_config(cfg: RunConfig) -> PipelineConfig:
         template=build_template(cfg),
         k=cfg["retrieval"]["k"],
         quotas=cfg["retrieval"]["quotas"],
-        quotas_in_mixture=cfg["retrieval"]["quotas_in_mixture"],
         metric=cfg["confidence"]["metric"],
         decode=decode,
         seed=cfg["seed"],

@@ -101,10 +101,6 @@ class Corpus:
             return [c.id for c in self._chunks]
         return list(self._by_kind[kind])
 
-    def kinds(self) -> dict[str, str]:
-        """chunk id -> kind, in ingestion order."""
-        return {c.id: c.kind for c in self._chunks}
-
     def position(self, chunk_id: str) -> int:
         """Ingestion ordinal of a chunk (the tie-break order)."""
         try:

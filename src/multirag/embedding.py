@@ -1,4 +1,4 @@
-"""Embedding providers and cosine similarity.
+"""Embedding providers.
 
 Two provider modes exist: a deterministic test provider (seeded hash of
 model id and text, expanded to a fixed-dimension vector) and a remote
@@ -39,18 +39,6 @@ class EmbeddingVector:
     @property
     def dim(self) -> int:
         return int(self.values.shape[0])
-
-
-def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
-    """Dot product over the product of Euclidean norms, clamped to [-1, 1]."""
-    va, vb = a.values, b.values
-    if va.shape[0] != vb.shape[0]:
-        raise DimensionMismatchError(
-            f"cosine over mismatched dimensions {va.shape[0]} vs {vb.shape[0]}")
-    denom = np.linalg.norm(va) * np.linalg.norm(vb)
-    if denom == 0.0:
-        raise ZeroVectorError("cosine over a zero-norm vector")
-    return float(np.clip(np.dot(va, vb) / denom, -1.0, 1.0))
 
 
 class _CachingProvider:

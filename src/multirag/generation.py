@@ -46,8 +46,8 @@ class TokenStep:
             raise ValueError("distribution probability outside [0, 1]")
         if any(probs[i] < probs[i + 1] for i in range(len(probs) - 1)):
             raise ValueError("distribution must be sorted by descending probability")
-        if self.tail_mass < -_SUM_TOL:
-            raise ValueError(f"negative tail mass {self.tail_mass}")
+        if not math.isfinite(self.tail_mass) or self.tail_mass < -_SUM_TOL:
+            raise ValueError(f"tail mass {self.tail_mass} is negative or not finite")
         total = sum(probs) + self.tail_mass
         if abs(total - 1.0) > _SUM_TOL:
             raise ValueError(f"distribution plus tail sums to {total}, not 1")

@@ -34,7 +34,6 @@ class PipelineConfig:
     template: PromptTemplate
     k: int = 4
     quotas: dict[str, int] | None = None
-    quotas_in_mixture: bool = True
     metric: str = "self-certainty"
     decode: DecodeParams = field(default_factory=DecodeParams)
     seed: int = 0
@@ -106,18 +105,7 @@ def run_vanilla(question_id: str, question: str, model_id: str,
             ids = retrieval.top_k_by_kind(row, config.quotas)
         else:
             ids = retrieval.top_k(row, config.k)
-    references = [corpus.get(cid) for cid in ids]
-    prompt = _stage("prompt", retrieval.assemble_prompt,
-                    config.template, question, references)
-    params = replace(config.decode,
-                     seed=derive_seed(config.seed, "gen", question_id, model_id))
-    record = _stage("generation", generate, config.backend, prompt, params,
-                    question_id=question_id, combination=model_id,
-                    embedding_model=model_id)
-    _stage("confidence", confidence.score_record, record)
-    return QuestionResult(
-        question_id=question_id, pipeline="vanilla", answer=record.completion,
-        winner_index=None, records=[record], retrieved={model_id: ids})
+    return _answer(question_id, question, "vanilla", model_id, ids, corpus, config)
 
 
 def run_mixture(question_id: str, question: str, model_ids: list[str],
@@ -134,23 +122,33 @@ def run_mixture(question_id: str, question: str, model_ids: list[str],
     if config.k > 0:
         fused_rows = [_row(question_id, question, mid, corpus, config, rows)
                       for mid in model_ids]
-        quotas = config.quotas if (config.quotas and config.quotas_in_mixture) else None
-        candidates = _stage("fusion", retrieval.fuse, fused_rows, config.k, quotas=quotas)
+        candidates = _stage("fusion", retrieval.fuse, fused_rows, config.k,
+                            quotas=config.quotas or None)
         ids = [c.chunk_id for c in candidates]
     else:
         ids = []
+    return _answer(question_id, question, "mixture", combo, ids, corpus, config)
+
+
+def _answer(question_id: str, question: str, pipeline: str, tag: str,
+            ids: list[str], corpus: Corpus, config: PipelineConfig) -> QuestionResult:
+    """Prompt with the retrieved chunks, generate once, score the answer.
+
+    ``tag`` names the run (a model id for vanilla, the joined subset for
+    mixture): it keys the decode seed, the record and ``retrieved``.
+    """
     references = [corpus.get(cid) for cid in ids]
     prompt = _stage("prompt", retrieval.assemble_prompt,
                     config.template, question, references)
     params = replace(config.decode,
-                     seed=derive_seed(config.seed, "gen", question_id, combo))
+                     seed=derive_seed(config.seed, "gen", question_id, tag))
     record = _stage("generation", generate, config.backend, prompt, params,
-                    question_id=question_id, combination=combo,
-                    embedding_model=combo)
+                    question_id=question_id, combination=tag,
+                    embedding_model=tag)
     _stage("confidence", confidence.score_record, record)
     return QuestionResult(
-        question_id=question_id, pipeline="mixture", answer=record.completion,
-        winner_index=None, records=[record], retrieved={combo: ids})
+        question_id=question_id, pipeline=pipeline, answer=record.completion,
+        winner_index=None, records=[record], retrieved={tag: ids})
 
 
 def run_confident(question_id: str, question: str, model_ids: list[str],

@@ -113,38 +113,28 @@ class SimilarityRow:
             self._cache["z"] = z
         return self._cache["z"]
 
-    def by_kind(self, quotas: dict[str, int],
-                kinds: dict[str, str] | None = None) -> np.ndarray:
-        """Positions of the top ``quotas[kind]`` chunks of each kind, in rank order.
-
-        ``kinds`` maps chunk id -> kind; without it the index's kinds are
-        used, and the selection is cached for the next call.
-        """
+    def by_kind(self, quotas: dict[str, int]) -> np.ndarray:
+        """Positions of the top ``quotas[kind]`` chunks of each kind, in rank order."""
         key = ("kind", tuple(quotas.items()))
-        if kinds is None:
-            if key in self._cache:
-                return self._cache[key]
+        if key not in self._cache:
             if self.index.kinds is None:
-                raise ValueError("per-kind quotas require a chunk-id -> kind mapping")
-            labels = self.index.kinds
-        else:
-            labels = np.array([kinds[cid] for cid in self.index.ids])
-        order = self.order()
-        ranked = labels[order]
-        ranks = [np.flatnonzero(ranked == kind)[:quota] for kind, quota in quotas.items()]
-        selected = order[np.sort(np.concatenate(ranks))] if ranks else order[:0]
-        if kinds is None:
-            self._cache[key] = selected
-        return selected
+                raise ValueError("per-kind quotas require an index with chunk kinds")
+            order = self.order()
+            self._cache[key] = order[_first_per_kind(self.index.kinds[order], quotas)]
+        return self._cache[key]
+
+
+def _first_per_kind(labels: np.ndarray, quotas: dict[str, int]) -> np.ndarray:
+    """Indices of the first ``quotas[kind]`` entries of each kind in ``labels``, ascending."""
+    picks = [np.flatnonzero(labels == kind)[:quota] for kind, quota in quotas.items()]
+    return np.sort(np.concatenate(picks)) if picks else np.empty(0, dtype=np.intp)
 
 
 @dataclass(frozen=True)
 class RetrievalCandidate:
     model_id: str
     chunk_id: str
-    raw: float
     standardized: float
-    rank_within_model: int
 
 
 def score_all(provider, question: str, corpus: Corpus,
@@ -167,15 +157,10 @@ def top_k(row: SimilarityRow, k: int) -> list[str]:
     return [ids[i] for i in row.order()[:k]]
 
 
-def top_k_by_kind(row: SimilarityRow, quotas: dict[str, int],
-                  kinds: dict[str, str] | None = None) -> list[str]:
-    """Per-kind top selection; output merged in global score order.
-
-    ``kinds`` maps chunk id -> kind and defaults to the kinds of the
-    row's corpus index.
-    """
+def top_k_by_kind(row: SimilarityRow, quotas: dict[str, int]) -> list[str]:
+    """Per-kind top selection from the row's index kinds, in global score order."""
     ids = row.index.ids
-    return [ids[i] for i in row.by_kind(quotas, kinds)]
+    return [ids[i] for i in row.by_kind(quotas)]
 
 
 def standardize(row: SimilarityRow) -> ScoreMap:
@@ -187,55 +172,44 @@ def standardize(row: SimilarityRow) -> ScoreMap:
 
 
 def fuse(rows: list[SimilarityRow], k: int,
-         quotas: dict[str, int] | None = None,
-         kinds: dict[str, str] | None = None) -> list[RetrievalCandidate]:
+         quotas: dict[str, int] | None = None) -> list[RetrievalCandidate]:
     """Merge per-model candidate lists into one deduplicated ranking.
 
     Each row contributes its own top selection (k, or per-kind quotas),
     scored by Z-standardized similarity so models with different score
-    ranges are comparable. Duplicated chunk ids keep the maximum
+    ranges are comparable. Duplicated chunks keep the maximum
     standardized score (ties: lowest model index); the pooled survivors
-    are sorted by (standardized desc, ingestion order asc) and cut to k
-    or to the per-kind quotas. ``kinds`` (chunk id -> kind) defaults to
-    the kinds of the rows' corpus index.
+    are ranked by (standardized desc, ingestion order asc) and cut to k
+    or to the per-kind quotas.
     """
     if not rows:
         raise ValueError("fuse requires at least one row")
+    if k < 0:
+        raise ValueError("k must be >= 0")
     index = rows[0].index
     for row in rows[1:]:
         if row.index is not index and row.index.ids != index.ids:
             raise ValueError("rows score different corpora or different chunk orders")
 
-    # per-model candidates at their standardized scores, by position
-    pooled: dict[int, RetrievalCandidate] = {}
-    for row in rows:
-        zs = standardize(row).array
-        if quotas is not None:
-            selected = top_k_by_kind(row, quotas, kinds)
-        else:
-            selected = top_k(row, k)
-        for rank, cid in enumerate(selected, start=1):
-            pos = index.position[cid]
-            cand = RetrievalCandidate(
-                model_id=row.model_id, chunk_id=cid, raw=float(row.values[pos]),
-                standardized=float(zs[pos]), rank_within_model=rank)
-            best = pooled.get(pos)
-            if best is None or cand.standardized > best.standardized:
-                pooled[pos] = cand
-            # equal scores keep the earlier model (lowest index): no update
+    selected = [row.order()[:k] if quotas is None else row.by_kind(quotas)
+                for row in rows]
+    positions = np.concatenate(selected)
+    z = np.concatenate([row.zscores()[sel] for row, sel in zip(rows, selected)])
+    model = np.repeat(np.arange(len(rows)), [len(sel) for sel in selected])
 
-    merged = sorted(pooled.items(), key=lambda item: (-item[1].standardized, item[0]))
-
-    if quotas is not None:
-        taken = {kind: 0 for kind in quotas}
-        out = []
-        for pos, cand in merged:
-            kind = kinds[cand.chunk_id] if kinds is not None else index.kinds[pos]
-            if kind in quotas and taken[kind] < quotas[kind]:
-                taken[kind] += 1
-                out.append(cand)
-        return out
-    return [cand for _, cand in merged[:k]]
+    # per position, the first entry by (z desc, model asc) survives
+    by_position = np.lexsort((model, -z, positions))
+    kept = by_position[np.unique(positions[by_position], return_index=True)[1]]
+    # survivors are in ingestion order, so a stable sort ranks them like a row
+    kept = kept[np.argsort(-z[kept], kind="stable")]
+    if quotas is None:
+        kept = kept[:k]
+    else:
+        kept = kept[_first_per_kind(index.kinds[positions[kept]], quotas)]
+    return [RetrievalCandidate(model_id=rows[m].model_id, chunk_id=index.ids[p],
+                               standardized=score)
+            for m, p, score in zip(model[kept].tolist(), positions[kept].tolist(),
+                                   z[kept].tolist())]
 
 
 _PLACEHOLDER = re.compile(r"\{\{(question|references)\}\}")

@@ -49,6 +49,10 @@ class TestTokenStepInvariants:
         with pytest.raises(ValueError):
             self.good(dist=(("a", 0.8), ("b", 0.4)), tail_mass=-0.2)
 
+    def test_nan_tail_rejected(self):
+        with pytest.raises(ValueError):
+            self.good(prob=1.0, dist=(("a", 1.0),), tail_mass=float("nan"), vocab_size=2)
+
 
 class TestMockBackend:
     def test_deterministic(self):

@@ -4,7 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from multirag.corpus import Chunk, Corpus
+from multirag.corpus import Chunk, ChunkIndex, Corpus
 from multirag.embedding import DeterministicProvider
 from multirag.errors import TemplateError
 from multirag.retrieval import (
@@ -23,6 +23,13 @@ from oracles import cosine_oracle, fuse_oracle, standardize_oracle, topk_oracle
 
 def row(scores: dict, model="m", question="q"):
     return SimilarityRow(model_id=model, question_id=question, scores=scores)
+
+
+def with_kinds(rows, kinds: dict):
+    """The same rows over one shared index that also holds each chunk's kind."""
+    ids = rows[0].index.ids
+    index = ChunkIndex(ids, [kinds[cid] for cid in ids])
+    return [SimilarityRow(r.model_id, r.question_id, r.values, index) for r in rows]
 
 
 class TestScoreAll:
@@ -128,15 +135,15 @@ class TestTopK:
 
 class TestRowCaches:
     def test_write_after_use_refreshes_ranking_selection_and_zscores(self):
-        r = row({"a": 0.9, "b": 0.1, "c": 0.5, "d": 0.3})
         kinds = {"a": "qa", "b": "textbook", "c": "qa", "d": "textbook"}
+        [r] = with_kinds([row({"a": 0.9, "b": 0.1, "c": 0.5, "d": 0.3})], kinds)
         assert top_k(r, 2) == ["a", "c"]
-        assert top_k_by_kind(r, {"textbook": 1}, kinds) == ["d"]
+        assert top_k_by_kind(r, {"textbook": 1}) == ["d"]
         z_before = standardize(r)["b"]
         r.scores["b"] = 1.0
         assert r.scores["b"] == 1.0
         assert top_k(r, 2) == ["b", "a"]
-        assert top_k_by_kind(r, {"textbook": 1}, kinds) == ["b"]
+        assert top_k_by_kind(r, {"textbook": 1}) == ["b"]
         assert standardize(r)["b"] > z_before
         want = standardize_oracle([0.9, 1.0, 0.5, 0.3])
         assert [standardize(r)[c] for c in "abcd"] == pytest.approx(want, abs=1e-12)
@@ -145,7 +152,8 @@ class TestRowCaches:
         r = score_all(DeterministicProvider("det-a"), "subtraction", corpus)
         quotas = {"qa": 2, "textbook": 1}
         first = top_k_by_kind(r, quotas)
-        assert first == top_k_by_kind(r, quotas, corpus.kinds())
+        assert r.by_kind(quotas) is r.by_kind(quotas)
+        assert [corpus.get(c).kind for c in first].count("qa") == 2
         r.scores["qa7"] = 2.0
         assert top_k_by_kind(r, quotas)[0] == "qa7"
 
@@ -270,15 +278,22 @@ class TestFuse:
 
     def test_quota_mode_matches_oracle(self):
         rng = np.random.default_rng(14)
-        for _ in range(100):
-            rows = random_rows(rng, m=int(rng.integers(4, 30)))
+        for trial in range(100):
+            rows = random_rows(rng, m=int(rng.integers(4, 30)), tie_heavy=trial % 3 == 0)
             kinds = {cid: ("qa" if rng.random() < 0.7 else "textbook")
                      for cid in rows[0].scores}
             quotas = {"qa": 3, "textbook": 1}
-            got = [c.chunk_id for c in fuse(rows, 4, quotas=quotas, kinds=kinds)]
-            want = [w[0] for w in
-                    fuse_oracle([r.scores for r in rows], 4, quotas=quotas, kinds=kinds)]
-            assert got == want
+            got = [(c.chunk_id, c.model_id, c.standardized)
+                   for c in fuse(with_kinds(rows, kinds), 4, quotas=quotas)]
+            want = fuse_oracle([r.scores for r in rows], 4, quotas=quotas, kinds=kinds)
+            assert [g[0] for g in got] == [w[0] for w in want]
+            assert [g[1] for g in got] == [rows[w[2]].model_id for w in want]
+            for g, w in zip(got, want):
+                assert abs(g[2] - w[1]) <= 1e-9
+
+    def test_quotas_need_an_index_with_kinds(self):
+        with pytest.raises(ValueError):
+            fuse([row({"a": 0.9, "b": 0.1, "c": 0.5})], 2, quotas={"qa": 1})
 
     def test_mismatched_corpora_rejected(self):
         a = row({"c1": 0.1, "c2": 0.2}, model="A")
@@ -304,13 +319,13 @@ class TestFuse:
 class TestQuotaSelection:
     def test_quota_counts_respected(self, corpus):
         r = score_all(DeterministicProvider("det-a"), "subtraction", corpus)
-        ids = top_k_by_kind(r, {"qa": 3, "textbook": 1}, corpus.kinds())
+        ids = top_k_by_kind(r, {"qa": 3, "textbook": 1})
         kinds = [corpus.get(c).kind for c in ids]
         assert kinds.count("qa") == 3 and kinds.count("textbook") == 1
 
     def test_output_in_global_score_order(self, corpus):
         r = score_all(DeterministicProvider("det-a"), "pears", corpus)
-        ids = top_k_by_kind(r, {"qa": 2, "textbook": 1}, corpus.kinds())
+        ids = top_k_by_kind(r, {"qa": 2, "textbook": 1})
         scores = [r.scores[c] for c in ids]
         assert scores == sorted(scores, reverse=True)
 
