@@ -29,6 +29,7 @@ from .generation import (
     GenerationRecord,
     MockBackend,
     OpenAIChatBackend,
+    StepBlock,
     TokenStep,
     derive_seed,
     generate,

@@ -17,16 +17,14 @@ from .errors import MultiragError, StageError
 log = logging.getLogger("multirag")
 
 
-def _parse_quota(pairs: list[str]) -> dict[str, int]:
-    quotas = {}
-    for pair in pairs:
-        kind, _, count = pair.partition("=")
-        try:
-            quotas[kind] = int(count)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"--quota expects kind=count, got {pair!r}") from None
-    return quotas
+def _parse_quota(pair: str) -> tuple[str, int]:
+    """argparse ``type`` for one ``--quota KIND=COUNT``."""
+    kind, _, count = pair.partition("=")
+    try:
+        return kind, int(count)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"--quota expects kind=count, got {pair!r}") from None
 
 
 def _overrides_from_args(args) -> dict:
@@ -34,7 +32,7 @@ def _overrides_from_args(args) -> dict:
     if getattr(args, "k", None) is not None:
         overrides["retrieval.k"] = args.k
     if getattr(args, "quota", None):
-        overrides["retrieval.quotas"] = _parse_quota(args.quota)
+        overrides["retrieval.quotas"] = dict(args.quota)
     if getattr(args, "metric", None):
         overrides["confidence.metric"] = args.metric
     if getattr(args, "seed", None) is not None:
@@ -209,7 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ask.add_argument("--models", default=None,
                        help="comma-separated embedding model ids")
     p_ask.add_argument("--k", type=int, default=None)
-    p_ask.add_argument("--quota", action="append", default=None, metavar="KIND=COUNT")
+    p_ask.add_argument("--quota", action="append", default=None, metavar="KIND=COUNT",
+                       type=_parse_quota)
     p_ask.add_argument("--seed", type=int, default=None)
     p_ask.add_argument("--out", dest="outdir", default=None,
                        help="directory for manifest.json and answer.json")
@@ -219,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--config", required=True)
     p_eval.add_argument("--metric", default=None)
     p_eval.add_argument("--k", type=int, default=None)
-    p_eval.add_argument("--quota", action="append", default=None, metavar="KIND=COUNT")
+    p_eval.add_argument("--quota", action="append", default=None, metavar="KIND=COUNT",
+                       type=_parse_quota)
     p_eval.add_argument("--seed", type=int, default=None)
     p_eval.add_argument("--out", default=None, help="output directory")
     p_eval.set_defaults(func=cmd_eval)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generation import GenerationRecord, TokenStep
+from .generation import GenerationRecord, StepBlock, TokenStep
 
 EPSILON = 1e-12
 
@@ -56,35 +56,21 @@ def _check_metric(metric: str) -> None:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
 
 
-def raw_scores(steps: list[TokenStep]) -> dict[str, float]:
+def raw_scores(steps: StepBlock | list[TokenStep]) -> dict[str, float]:
     """The five raw metrics of one completion, keyed by metric name.
 
-    The steps are packed once into the truncated-distribution layout:
-
-      probs  (n, kmax) float64  listed probabilities, row i valid up to lens[i]
-      lens   (n,)      int64    number of listed entries per step
-      tails  (n,)      float64  probability mass not listed (>= 0)
-      vocabs (n,)      int64    vocabulary size per step (>= lens[i])
-
-    Each step's tail mass is spread uniformly over its
-    ``vocabs[i] - lens[i]`` unlisted tokens (``u`` per token).
+    Reads the block's truncated-distribution arrays (a list of steps is
+    packed into a block first): listed probabilities ``probs`` valid up
+    to ``lens``, the unlisted mass ``tails`` and the vocabulary sizes
+    ``vocabs`` (see ``StepBlock``). Each step's tail mass is spread
+    uniformly over its ``vocabs[i] - lens[i]`` unlisted tokens (``u``
+    per token).
     """
-    if not steps:
+    block = steps if isinstance(steps, StepBlock) else StepBlock.from_steps(steps)
+    if not len(block):
         raise ValueError("confidence metrics require at least one step")
-    kmax = max(len(s.dist) for s in steps)
-    n = len(steps)
-    probs = np.zeros((n, kmax), dtype=np.float64)
-    lens = np.empty(n, dtype=np.int64)
-    tails = np.empty(n, dtype=np.float64)
-    vocabs = np.empty(n, dtype=np.int64)
-    chosen = np.empty(n, dtype=np.float64)
-    for i, s in enumerate(steps):
-        lens[i] = len(s.dist)
-        probs[i, :lens[i]] = [p for _, p in s.dist]
-        tails[i] = s.tail_mass
-        vocabs[i] = s.vocab_size
-        chosen[i] = s.prob
-
+    probs, lens, tails, vocabs = block.probs, block.lens, block.tails, block.vocabs
+    kmax = probs.shape[1]
     mask = np.arange(kmax)[None, :] < lens[:, None]
     p = np.where(mask, probs, 0.0)
     unlisted = vocabs - lens
@@ -98,32 +84,33 @@ def raw_scores(steps: list[TokenStep]) -> dict[str, float]:
     listed = np.where(mask, np.log(np.maximum(probs, EPSILON) * v[:, None]), 0.0).sum(axis=1)
     tail = unlisted * np.log(v * np.maximum(u, EPSILON))
     certainties = -(listed + np.where(unlisted > 0, tail, 0.0)) / v
+    n = len(block)  # x.sum() / n has the bits of x.mean(), without its call overhead
     return {
-        "avg-log-p": float(np.log(np.maximum(chosen, EPSILON)).mean()),
-        "self-certainty": float(certainties.mean()),
-        "gini": float(ginis.mean()),
-        "entropy": float(ents.mean()),
-        "dp": float(np.exp(ents).mean()),
+        "avg-log-p": float(np.log(np.maximum(block.prob, EPSILON)).sum() / n),
+        "self-certainty": float(certainties.sum() / n),
+        "gini": float(ginis.sum() / n),
+        "entropy": float(ents.sum() / n),
+        "dp": float(np.exp(ents).sum() / n),
     }
 
 
-def avg_log_p(steps: list[TokenStep]) -> float:
+def avg_log_p(steps: StepBlock | list[TokenStep]) -> float:
     return raw_scores(steps)["avg-log-p"]
 
 
-def gini(steps: list[TokenStep]) -> float:
+def gini(steps: StepBlock | list[TokenStep]) -> float:
     return raw_scores(steps)["gini"]
 
 
-def entropy(steps: list[TokenStep]) -> float:
+def entropy(steps: StepBlock | list[TokenStep]) -> float:
     return raw_scores(steps)["entropy"]
 
 
-def dp(steps: list[TokenStep]) -> float:
+def dp(steps: StepBlock | list[TokenStep]) -> float:
     return raw_scores(steps)["dp"]
 
 
-def self_certainty(steps: list[TokenStep]) -> float:
+def self_certainty(steps: StepBlock | list[TokenStep]) -> float:
     return raw_scores(steps)["self-certainty"]
 
 

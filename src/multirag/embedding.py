@@ -58,10 +58,11 @@ class _CachingProvider:
         self._lock = threading.Lock()
         self._dim: int | None = None
 
-    def _compute_batch(self, texts: list[str]) -> list[np.ndarray]:
+    def _compute_batch(self, texts: list[str]) -> list[np.ndarray] | np.ndarray:
+        """One vector per text: a list of vectors or a 2-D array of rows."""
         raise NotImplementedError
 
-    def _checked(self, raw: list[np.ndarray]) -> np.ndarray:
+    def _checked(self, raw: list[np.ndarray] | np.ndarray) -> np.ndarray:
         """Stack one computed batch, holding it to ``EmbeddingVector``'s rules."""
         shapes = {np.shape(v) for v in raw}
         if any(len(shape) != 1 or shape[0] == 0 for shape in shapes):
@@ -118,19 +119,16 @@ class DeterministicProvider(_CachingProvider):
         self.model_id = model_id
         self.dim = dim
 
-    def _compute_batch(self, texts: list[str]) -> list[np.ndarray]:
-        return [self._vector(t) for t in texts]
+    def _compute_batch(self, texts: list[str]) -> np.ndarray:
+        block = np.array([self._vector(t) for t in texts])
+        # shift away from the (astronomically unlikely) zero vector
+        block[np.linalg.norm(block, axis=1) < 1e-9, 0] += 1.0
+        return block
 
     def _vector(self, text: str) -> np.ndarray:
         digest = hashlib.blake2b(
             f"{self.model_id}\x00{text}".encode("utf-8"), digest_size=8).digest()
-        seed = int.from_bytes(digest, "big")
-        rng = np.random.default_rng(seed)
-        vec = rng.standard_normal(self.dim)
-        # shift away from the (astronomically unlikely) zero vector
-        if np.linalg.norm(vec) < 1e-9:
-            vec[0] += 1.0
-        return vec
+        return np.random.default_rng(int.from_bytes(digest, "big")).standard_normal(self.dim)
 
 
 class RemoteProvider(_CachingProvider):

@@ -27,7 +27,6 @@ from itertools import combinations
 from pathlib import Path
 
 import numpy as np
-from scipy.ndimage import gaussian_filter1d
 
 from . import confidence, pipeline
 from .corpus import Corpus
@@ -359,6 +358,8 @@ def cdf_report(records: list[GenerationRecord], metric: str,
     past the maximum, where the CDF is flat at 1.0; with nearest-edge
     padding the Gaussian filter then leaves the terminal value at 1.0.
     """
+    from scipy.ndimage import gaussian_filter1d  # imported here: `ask` never needs scipy
+
     if not records:
         raise ValueError("cdf_report requires at least one record")
     scores = np.array([r.confidence[metric].oriented for r in records])

@@ -1,11 +1,14 @@
 """LLM backends and the per-token probability records they must produce.
 
-A completion is a sequence of ``TokenStep``s: the chosen token, its
+A completion is a sequence of token steps: the chosen token, its
 probability, and the (possibly truncated) distribution over the
-vocabulary at that position. The mock backend emits *full* distributions
-(tail mass zero) so confidence metrics can be checked against exact
-oracles without a GPU; the remote backend speaks the OpenAI
-chat-completions wire format and yields top-K truncated distributions.
+vocabulary at that position. Both backends build one ``StepBlock`` per
+completion, the whole sequence as arrays validated in one pass; reading
+``block[i]`` gives the step as a ``TokenStep``. The mock backend emits
+*full* distributions (tail mass zero) so confidence metrics can be
+checked against exact oracles without a GPU; the remote backend speaks
+the OpenAI chat-completions wire format and yields top-K truncated
+distributions.
 """
 
 from __future__ import annotations
@@ -34,26 +37,156 @@ class TokenStep:
     vocab_size: int
 
     def __post_init__(self):
-        if not (0.0 < self.prob <= 1.0):
-            raise ValueError(f"chosen-token probability {self.prob} outside (0, 1]")
-        if not self.dist:
-            raise ValueError("step distribution is empty")
-        if self.vocab_size < len(self.dist):
-            raise ValueError(
-                f"vocab size {self.vocab_size} smaller than distribution size {len(self.dist)}")
-        probs = [p for _, p in self.dist]
-        if any(not (0.0 <= p <= 1.0) for p in probs):
-            raise ValueError("distribution probability outside [0, 1]")
-        if any(probs[i] < probs[i + 1] for i in range(len(probs) - 1)):
-            raise ValueError("distribution must be sorted by descending probability")
-        if not math.isfinite(self.tail_mass) or self.tail_mass < -_SUM_TOL:
-            raise ValueError(f"tail mass {self.tail_mass} is negative or not finite")
-        total = sum(probs) + self.tail_mass
-        if abs(total - 1.0) > _SUM_TOL:
-            raise ValueError(f"distribution plus tail sums to {total}, not 1")
-        if all(t != self.token for t, _ in self.dist):
-            raise ValueError(f"chosen token {self.token!r} not present in distribution")
+        StepBlock.from_steps([self])  # raises on the first broken rule
         object.__setattr__(self, "tail_mass", max(self.tail_mass, 0.0))
+
+
+def _row_sums(probs: np.ndarray) -> np.ndarray:
+    """Each row summed left to right, as Python's ``sum`` over a list does."""
+    return np.cumsum(probs, axis=1)[:, -1] if probs.shape[1] else np.zeros(len(probs))
+
+
+def _check(table, chosen, prob, codes, probs, lens, tails, vocabs) -> None:
+    """Hold every step of a block to ``TokenStep``'s rules.
+
+    Reports the first rule the first broken step breaks, in this order:
+    chosen probability in (0, 1]; a non-empty row no longer than the
+    vocabulary; listed probabilities in [0, 1] (NaN fails) and sorted
+    descending; a finite tail mass >= -tol; listed mass plus tail within
+    tol of 1 (summed left to right); the chosen token listed in its row.
+    """
+    listed = np.arange(probs.shape[1]) < lens[:, None]
+    totals = _row_sums(probs) + tails
+    rules = (
+        (~((prob > 0.0) & (prob <= 1.0)),
+         lambda i: f"chosen-token probability {prob[i]} outside (0, 1]"),
+        (lens == 0, lambda i: "step distribution is empty"),
+        (vocabs < lens, lambda i:
+         f"vocab size {vocabs[i]} smaller than distribution size {lens[i]}"),
+        ((listed & ~((probs >= 0.0) & (probs <= 1.0))).any(axis=1),
+         lambda i: "distribution probability outside [0, 1]"),
+        ((listed[:, 1:] & (probs[:, :-1] < probs[:, 1:])).any(axis=1),
+         lambda i: "distribution must be sorted by descending probability"),
+        (~np.isfinite(tails) | (tails < -_SUM_TOL),
+         lambda i: f"tail mass {tails[i]} is negative or not finite"),
+        (np.abs(totals - 1.0) > _SUM_TOL,
+         lambda i: f"distribution plus tail sums to {totals[i]}, not 1"),
+        (~(listed & (codes == chosen[:, None])).any(axis=1),
+         lambda i: f"chosen token {table[chosen[i]]!r} not present in distribution"),
+    )
+    broken = rules[0][0].copy()
+    for bad, _ in rules[1:]:
+        broken |= bad
+    if broken.any():
+        i = int(broken.argmax())
+        raise ValueError(next(message(i) for bad, message in rules if bad[i]))
+
+
+def _pad(lens, values) -> tuple[np.ndarray, np.ndarray]:
+    """Row entries given flat, in listed order, as (codes, probs) matrices.
+
+    Row i holds flat entries ``sum(lens[:i])`` onwards; an entry's code is
+    its flat position. The (n, max(lens)) matrices are padded with code -1
+    and probability 0.
+    """
+    lens = np.asarray(lens, dtype=np.int64)
+    listed = np.arange(lens.max() if len(lens) else 0) < lens[:, None]
+    codes = np.full(listed.shape, -1, dtype=np.int64)
+    codes[listed] = np.arange(listed.sum())
+    probs = np.zeros(listed.shape)
+    probs[listed] = values
+    return codes, probs
+
+
+class StepBlock:
+    """All token steps of one completion as arrays, validated once.
+
+      table   tuple[str]        token strings; the codes below index it
+      chosen  (n,)      int64   chosen token of each step
+      prob    (n,)      float64 probability of the chosen token
+      codes   (n, kmax) int64   listed tokens, row i valid up to lens[i]
+      probs   (n, kmax) float64 listed probabilities, descending per row,
+                                0 beyond lens[i]; kmax = max(lens)
+      lens    (n,)      int64   number of listed entries per step
+      tails   (n,)      float64 probability mass not listed (clamped to >= 0)
+      vocabs  (n,)      int64   vocabulary size per step (>= lens[i])
+
+    The block behaves as a read-only sequence of ``TokenStep``s: ``len``,
+    iteration, indexing and ``==`` build the steps only when read.
+    """
+
+    __slots__ = ("table", "chosen", "prob", "codes", "probs", "lens", "tails", "vocabs")
+
+    def __init__(self, table, chosen, prob, codes, probs, lens, tails, vocabs):
+        arrays = {
+            "chosen": np.asarray(chosen, dtype=np.int64),
+            "prob": np.asarray(prob, dtype=np.float64),
+            "codes": np.asarray(codes, dtype=np.int64),
+            "probs": np.asarray(probs, dtype=np.float64),
+            "lens": np.asarray(lens, dtype=np.int64),
+            "tails": np.asarray(tails, dtype=np.float64),
+            "vocabs": np.asarray(vocabs, dtype=np.int64),
+        }
+        table = tuple(table)
+        _check(table, **arrays)
+        arrays["tails"] = np.maximum(arrays["tails"], 0.0)
+        self.table = table
+        for name, arr in arrays.items():
+            arr.flags.writeable = False
+            setattr(self, name, arr)
+
+    @classmethod
+    def from_steps(cls, steps) -> "StepBlock":
+        """Pack ``TokenStep``s into a block.
+
+        The token table is every listed token in order, then each chosen
+        token its row does not list.
+        """
+        steps = list(steps)
+        table = [t for s in steps for t, _ in s.dist]
+        chosen, start = [], 0
+        for s in steps:
+            row = [t for t, _ in s.dist]
+            if s.token in row:
+                chosen.append(start + row.index(s.token))
+            else:
+                chosen.append(len(table))
+                table.append(s.token)
+            start += len(row)
+        lens = [len(s.dist) for s in steps]
+        codes, probs = _pad(lens, [p for s in steps for _, p in s.dist])
+        return cls(table, chosen, [s.prob for s in steps], codes, probs, lens,
+                   [s.tail_mass for s in steps], [s.vocab_size for s in steps])
+
+    @property
+    def tokens(self) -> list[str]:
+        """The chosen token of each step."""
+        return [self.table[c] for c in self.chosen.tolist()]
+
+    def __len__(self) -> int:
+        return len(self.lens)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i = range(len(self))[i]
+        n = int(self.lens[i])
+        dist = tuple(zip([self.table[c] for c in self.codes[i, :n].tolist()],
+                         self.probs[i, :n].tolist()))
+        return TokenStep(token=self.table[self.chosen[i]], prob=float(self.prob[i]),
+                         dist=dist, tail_mass=float(self.tails[i]),
+                         vocab_size=int(self.vocabs[i]))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __eq__(self, other):
+        if not isinstance(other, (StepBlock, list, tuple)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return f"StepBlock({len(self)} steps, kmax {self.probs.shape[1]})"
 
 
 @dataclass
@@ -63,8 +196,12 @@ class GenerationRecord:
     embedding_model: str  # embedding model id ("" for bare-LLM runs)
     prompt: str
     completion: str
-    steps: list[TokenStep]
+    steps: StepBlock      # a list of TokenSteps is packed into a block
     confidence: dict = field(default_factory=dict)  # metric name -> ConfidenceScore
+
+    def __post_init__(self):
+        if not isinstance(self.steps, StepBlock):
+            self.steps = StepBlock.from_steps(self.steps)
 
 
 @dataclass(frozen=True)
@@ -85,7 +222,7 @@ def generate(backend, prompt: str, params: DecodeParams,
     return GenerationRecord(
         question_id=question_id, combination=combination,
         embedding_model=embedding_model, prompt=prompt,
-        completion=completion, steps=list(steps))
+        completion=completion, steps=steps)
 
 
 def derive_seed(master: int, *parts: str) -> int:
@@ -124,62 +261,63 @@ class MockBackend:
         self.answer_fn = answer_fn
         self.sharpness = sharpness
         self.call_count = 0
+        self._index = {t: i for i, t in enumerate(self.vocab)}
+        # greedy body picks skip "####" so it only ever starts the answer
+        self._marker = np.array([t == "####" for t in self.vocab])
 
     @property
     def vocab_size(self) -> int:
         return len(self.vocab)
 
-    def complete(self, prompt: str, params: DecodeParams) -> tuple[str, list[TokenStep]]:
+    def complete(self, prompt: str, params: DecodeParams) -> tuple[str, StepBlock]:
         self.call_count += 1
+        size = len(self.vocab)
         if self.script is not None:
-            steps = [self._step_from_probs(tok, np.asarray(p, dtype=np.float64))
-                     for tok, p in self.script]
-            return self._render(steps), steps
+            rows = [np.asarray(p, dtype=np.float64) for _, p in self.script]
+            if any(r.shape != (size,) for r in rows):
+                raise ValueError("scripted distribution does not cover the vocabulary")
+            chosen = [self._index[tok] for tok, _ in self.script]
+            return self._block(np.array(chosen, dtype=np.int64),
+                               np.array(rows).reshape(len(rows), size))
 
         rng = np.random.default_rng(derive_seed(self.seed, str(params.seed), prompt))
-        n_body = int(rng.integers(3, 9))
-        index = {t: i for i, t in enumerate(self.vocab)}
-        body_tokens = [t for t in self.vocab if t != "####"]
-        steps = []
-        for _ in range(min(n_body, max(params.max_tokens - 2, 1))):
-            logits = rng.normal(0.0, self.sharpness, size=len(self.vocab))
-            probs = np.exp(logits - logits.max())
-            probs /= probs.sum()
-            # greedy over non-marker tokens so "####" only ever starts the answer
-            chosen = max(body_tokens, key=lambda t: (probs[index[t]], -index[t]))
-            steps.append(self._step_from_probs(chosen, probs))
+        n_body = min(int(rng.integers(3, 9)), max(params.max_tokens - 2, 1))
+        logits = rng.normal(0.0, self.sharpness, size=(n_body, size))
+        body = np.exp(logits - logits.max(axis=1, keepdims=True))
+        body /= body.sum(axis=1, keepdims=True)
+        picks = np.where(self._marker, -np.inf, body).argmax(axis=1)  # lowest index on ties
         if self.answer_fn is not None:
             answer = str(self.answer_fn(prompt))
         else:
             answer = str(int(rng.integers(0, 100)))
-        for tok in ("####", *answer):
-            peak = float(rng.uniform(0.55, 0.95))
-            probs = np.full(len(self.vocab), (1.0 - peak) / (len(self.vocab) - 1))
-            probs[index[tok]] = peak
-            steps.append(self._step_from_probs(tok, probs))
-        return self._render(steps), steps
+        marked = [self._index[tok] for tok in ("####", *answer)]
+        peaks = rng.uniform(0.55, 0.95, size=len(marked))
+        tail = np.repeat(((1.0 - peaks) / (size - 1))[:, None], size, axis=1)
+        tail[np.arange(len(marked)), marked] = peaks
+        return self._block(np.concatenate([picks, marked]), np.vstack([body, tail]))
 
-    def _step_from_probs(self, token: str, probs: np.ndarray) -> TokenStep:
-        if probs.shape[0] != len(self.vocab):
-            raise ValueError("scripted distribution does not cover the vocabulary")
-        order = np.argsort(-probs, kind="stable")
-        dist = tuple((self.vocab[i], float(probs[i])) for i in order)
-        chosen = dict(dist)[token]
-        return TokenStep(token=token, prob=float(chosen), dist=dist,
-                         tail_mass=0.0, vocab_size=len(self.vocab))
+    def _block(self, chosen: np.ndarray, full: np.ndarray) -> tuple[str, StepBlock]:
+        """(completion, block) for full distributions ``full`` over the vocabulary."""
+        n, size = full.shape
+        order = np.argsort(-full, axis=1, kind="stable")
+        rows = np.arange(n)
+        block = StepBlock(self.vocab, chosen, full[rows, chosen], order,
+                          full[rows[:, None], order], np.full(n, size), np.zeros(n),
+                          np.full(n, size))
+        return self._render(block.tokens), block
 
     @staticmethod
-    def _render(steps: list[TokenStep]) -> str:
+    def _render(tokens: list[str]) -> str:
         body: list[str] = []
         answer: list[str] = []
         seen_marker = False
-        for s in steps:
-            if s.token == "####" and not seen_marker:
+        for t in tokens:
+            if t == "####" and not seen_marker:
                 seen_marker = True
             elif seen_marker:
-                answer.append(s.token)
+                answer.append(t)
             else:
-                body.append(s.token)
+                body.append(t)
         if seen_marker:
             return " ".join(body + ["####", "".join(answer)]).rstrip()
         return " ".join(body)
@@ -208,7 +346,7 @@ class OpenAIChatBackend:
         self._headers = transport.bearer_headers(api_key_env)
         self.call_count = 0
 
-    def complete(self, prompt: str, params: DecodeParams) -> tuple[str, list[TokenStep]]:
+    def complete(self, prompt: str, params: DecodeParams) -> tuple[str, StepBlock]:
         self.call_count += 1
         body = transport.post_json(
             f"{self.endpoint}/v1/chat/completions",
@@ -233,19 +371,57 @@ class OpenAIChatBackend:
         if logprobs is None or content is None:
             raise LogprobsMissingError(
                 "backend response omits logprobs; enable logprobs on the serving side")
-        steps = [self._parse_step(item) for item in content]
+        steps = self._parse_steps(content)
         if not completion.strip() or not steps:
             raise EmptyCompletionError("backend returned an empty completion")
         return completion, steps
 
-    def _parse_step(self, item: dict) -> TokenStep:
-        if "logprob" not in item or "top_logprobs" not in item:
-            raise LogprobsMissingError("token entry omits logprob fields")
-        token = item.get("token", "")
-        chosen_prob = math.exp(float(item["logprob"]))
-        alts = {e["token"]: math.exp(float(e["logprob"])) for e in item["top_logprobs"]}
-        alts.setdefault(token, chosen_prob)
-        dist = tuple(sorted(alts.items(), key=lambda kv: -kv[1]))
-        tail = max(0.0, 1.0 - sum(p for _, p in dist))
-        return TokenStep(token=token, prob=min(chosen_prob, 1.0), dist=dist,
-                         tail_mass=tail, vocab_size=self.vocab_size)
+    def _parse_steps(self, content: list[dict]) -> StepBlock:
+        """One reply's ``logprobs.content`` as a block, in one pass.
+
+        Repeated alternatives keep their first position and their last
+        value; a chosen token missing from its alternatives is appended.
+        Each row is sorted by descending probability (stable), and its
+        tail is ``max(0, 1 - listed sum)``, summed left to right. A
+        positive logprob up to ``_SUM_TOL`` is rounding and reads as
+        probability 1; a larger one is an error.
+        """
+        lens: list[int] = []
+        names: list[str] = []
+        logprobs: list[float] = []
+        chosen: list[int] = []  # flat position of each chosen token
+        chosen_lp: list[float] = []
+        for item in content:
+            if "logprob" not in item or "top_logprobs" not in item:
+                raise LogprobsMissingError("token entry omits logprob fields")
+            token = item.get("token", "")
+            alts = {e["token"]: e["logprob"] for e in item["top_logprobs"]}
+            alts.setdefault(token, item["logprob"])
+            keys = list(alts)
+            chosen.append(len(names) + keys.index(token))
+            chosen_lp.append(item["logprob"])
+            names.extend(keys)
+            logprobs.extend(alts.values())
+            lens.append(len(keys))
+        prob = _probabilities([names[i] for i in chosen], chosen_lp)
+        codes, probs = _pad(lens, _probabilities(names, logprobs))
+        listed = codes >= 0
+        order = np.argsort(np.where(listed, -probs, np.nan), axis=1, kind="stable")
+        rows = np.arange(len(lens))[:, None]
+        probs, codes = probs[rows, order], codes[rows, order]
+        rest = 1.0 - _row_sums(probs)
+        return StepBlock(names, chosen, prob, codes, probs, lens,
+                         np.where(rest > 0.0, rest, 0.0), np.full(len(lens), self.vocab_size))
+
+
+def _probabilities(tokens: list[str], logprobs: list[float]) -> np.ndarray:
+    """``math.exp`` of each logprob; a positive one up to ``_SUM_TOL`` reads as 1."""
+    lps = np.array(logprobs, dtype=np.float64)
+    too_big = np.flatnonzero(lps > _SUM_TOL)
+    if len(too_big):
+        i = int(too_big[0])
+        raise ValueError(
+            f"token {tokens[i]!r} has logprob {lps[i]} > 0, not a log probability")
+    out = np.fromiter(map(math.exp, lps.tolist()), dtype=np.float64, count=len(lps))
+    out[lps > 0.0] = 1.0
+    return out

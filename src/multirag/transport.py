@@ -6,8 +6,6 @@ import logging
 import os
 import time
 
-import requests
-
 from .errors import ConfigError, TransportError
 
 log = logging.getLogger(__name__)
@@ -40,6 +38,8 @@ def post_json(url: str, payload: dict, headers: dict[str, str],
     is waited out for that many seconds instead, but never for less than
     the backoff nor for longer than ``timeout``.
     """
+    import requests  # imported here so that loading the package stays light
+
     last: Exception | None = None
     for attempt in range(retries + 1):
         asked = None

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -97,6 +99,24 @@ class TestAsk:
         out = capsys.readouterr().out
         assert "retrieved: []" in out
 
+    def test_malformed_quota_is_a_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["ask", "q", "--config", str(cfg), "--k", "0", "--quota", "qa=x"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--quota expects kind=count, got 'qa=x'" in err
+        assert "Traceback" not in err
+
+    def test_quotas_reach_the_config(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        outdir = tmp_path / "ask-out"
+        assert main(["ask", "How many?", "--config", str(cfg), "--pipeline", "vanilla",
+                     "--models", "det-a", "--quota", "qa=1", "--quota", "textbook=1",
+                     "--verbose", "--out", str(outdir)]) == 0
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert manifest["quotas"] == {"qa": 1, "textbook": 1}
+
     def test_vanilla_needs_single_model(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["ask", "q", "--config", str(cfg),
@@ -179,3 +199,12 @@ class TestReport:
 
     def test_missing_report(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nope.json")]) == 1
+
+
+def test_cli_import_skips_scipy_and_requests():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, multirag.cli; "
+            "print(sorted(m for m in ('scipy', 'requests') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={"PYTHONPATH": str(src)}).stdout
+    assert out.strip() == "[]"

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,30 @@ class TestDeterministicProvider:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             DeterministicProvider("det-a").embed([])
+
+    def test_matrix_equals_per_text_reference(self):
+        def reference(model_id, dim, text):
+            digest = hashlib.blake2b(f"{model_id}\x00{text}".encode("utf-8"),
+                                     digest_size=8).digest()
+            vec = np.random.default_rng(int.from_bytes(digest, "big")).standard_normal(dim)
+            if np.linalg.norm(vec) < 1e-9:
+                vec[0] += 1.0
+            return vec
+
+        texts = [f"chunk {i}: " + "w" * (i % 13) for i in range(300)]
+        provider = DeterministicProvider("det-a", dim=24)
+        provider.batch_size = 128
+        matrix = provider.embed_matrix(texts)
+        want = np.array([reference("det-a", 24, t) for t in texts])
+        assert (matrix == want).all()
+
+    def test_zero_vector_shifted_per_block(self, monkeypatch):
+        p = DeterministicProvider("det-a", dim=3)
+        real = p._vector
+        monkeypatch.setattr(p, "_vector", lambda t: np.zeros(3) if t == "zero" else real(t))
+        matrix = p.embed_matrix(["one", "zero", "two"])
+        assert matrix[1].tolist() == [1.0, 0.0, 0.0]
+        assert (matrix[[0, 2]] == np.array([real("one"), real("two")])).all()
 
 
 class TestCosine:

@@ -1,7 +1,9 @@
 """Wire-contract tests against an in-process stub HTTP server."""
 
 import math
+import re
 
+import numpy as np
 import pytest
 
 from multirag import transport
@@ -14,9 +16,85 @@ from multirag.errors import (
     TransportError,
     ZeroVectorError,
 )
-from multirag.generation import DecodeParams, OpenAIChatBackend
+from multirag.generation import DecodeParams, OpenAIChatBackend, TokenStep
 
 from conftest import chat_route, embeddings_route
+
+
+def reference_parse_step(item: dict, vocab_size: int) -> TokenStep:
+    """The per-step wire parser the block parser replaced."""
+    if "logprob" not in item or "top_logprobs" not in item:
+        raise LogprobsMissingError("token entry omits logprob fields")
+    token = item.get("token", "")
+    chosen_prob = math.exp(float(item["logprob"]))
+    alts = {e["token"]: math.exp(float(e["logprob"])) for e in item["top_logprobs"]}
+    alts.setdefault(token, chosen_prob)
+    dist = tuple(sorted(alts.items(), key=lambda kv: -kv[1]))
+    tail = max(0.0, 1.0 - sum(p for _, p in dist))
+    return TokenStep(token=token, prob=min(chosen_prob, 1.0), dist=dist,
+                     tail_mass=tail, vocab_size=vocab_size)
+
+
+ALPHABET = [chr(c) for c in range(ord("a"), ord("a") + 30)]
+
+
+def random_item(rng) -> dict:
+    """A token entry with repeats, ties, -inf and missing chosen tokens mixed in."""
+    k = int(rng.integers(0, 25))
+    tokens = [str(t) for t in rng.choice(ALPHABET, size=k)]  # repeats happen
+    probs = rng.dirichlet([0.6] * k) * rng.uniform(0.4, 1.0) if k else np.empty(0)
+    if k >= 2 and rng.random() < 0.4:  # an exact tie
+        probs[0] = probs[1] = (probs[0] + probs[1]) / 2
+    logprobs = [math.log(p) if p > 0 else -math.inf for p in probs]
+    if k and rng.random() < 0.2:
+        logprobs[int(rng.integers(0, k))] = -math.inf
+    listed = dict(zip(tokens, logprobs))
+    if listed and rng.random() < 0.6:
+        token = str(rng.choice(list(listed)))
+        logprob = listed[token] if rng.random() < 0.8 else logprobs[tokens.index(token)]
+    else:  # the chosen token is missing from top_logprobs
+        token = "zz" if rng.random() < 0.5 else str(rng.choice(ALPHABET))
+        rest = 1.0 - sum(math.exp(lp) for lp in listed.values())
+        logprob = math.log(max(rest, 1e-300) * rng.uniform(0.1, 1.0))
+    return {"token": token, "logprob": logprob,
+            "top_logprobs": [{"token": t, "logprob": lp} for t, lp in zip(tokens, logprobs)]}
+
+
+def outcome(parse):
+    """(token, prob, dist, tail_mass, vocab_size) per step, or the ValueError text."""
+    try:
+        return [(s.token, s.prob, s.dist, s.tail_mass, s.vocab_size) for s in parse()]
+    except ValueError as e:
+        return str(e)
+
+
+class TestBlockParser:
+    """The block parser equals the per-step parser it replaced, bit for bit."""
+
+    backend = OpenAIChatBackend("llm-x", endpoint="http://unused", vocab_size=50)
+
+    def test_random_replies(self):
+        rng = np.random.default_rng(17)
+        errors = 0
+        for _ in range(500):
+            content = [random_item(rng) for _ in range(int(rng.integers(1, 12)))]
+            want = outcome(lambda: [reference_parse_step(i, 50) for i in content])
+            assert outcome(lambda: self.backend._parse_steps(content)) == want
+            errors += isinstance(want, str)
+        assert 0 < errors < 250  # both valid and invalid replies were compared
+
+    def test_rounded_logprob_reads_as_one(self):
+        item = {"token": "a", "logprob": 1e-9,
+                "top_logprobs": [{"token": "a", "logprob": 1e-9}]}
+        step, = self.backend._parse_steps([item])
+        assert step.prob == 1.0 and step.dist == (("a", 1.0),) and step.tail_mass == 0.0
+
+    @pytest.mark.parametrize("chosen, listed", [(0.5, -0.1), (-0.1, 0.5), (math.inf, -0.1)])
+    def test_positive_logprob_rejected(self, chosen, listed):
+        item = {"token": "a", "logprob": chosen,
+                "top_logprobs": [{"token": "a", "logprob": listed}]}
+        with pytest.raises(ValueError, match=re.escape("token 'a' has logprob")):
+            self.backend._parse_steps([item])
 
 
 class TestEmbeddingsWire:
@@ -135,6 +213,19 @@ class TestChatWire:
         stub_server.route("/v1/chat/completions", chat_route(tokens=("4",), top=top))
         _, steps = self.backend(stub_server).complete("q", DecodeParams())
         assert "4" in dict(steps[0].dist)
+
+    def test_logprob_rounded_above_zero_keeps_the_model(self, stub_server):
+        top = [{"token": "4", "logprob": 1e-9}]
+        stub_server.route("/v1/chat/completions", chat_route(tokens=("4",), top=top))
+        backend = self.backend(stub_server)
+        _, steps = backend.complete("q", DecodeParams())
+        assert steps[0].dist == (("4", 1.0),)
+
+    def test_positive_logprob_is_a_clear_error(self, stub_server):
+        top = [{"token": "4", "logprob": 0.01}]
+        stub_server.route("/v1/chat/completions", chat_route(tokens=("4",), top=top))
+        with pytest.raises(ValueError, match="token '4' has logprob 0.01"):
+            self.backend(stub_server).complete("q", DecodeParams())
 
 
 class TestTransport:
