@@ -99,8 +99,8 @@ def cmd_ask(args) -> int:
                   f"(metric {pipeline_cfg.metric})")
         print("--- manifest")
         print(json.dumps(manifest, indent=2, sort_keys=True))
-    if args.outdir:
-        outdir = Path(args.outdir)
+    if args.out:
+        outdir = Path(cfg["output_dir"])
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / "manifest.json").write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -210,8 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ask.add_argument("--quota", action="append", default=None, metavar="KIND=COUNT",
                        type=_parse_quota)
     p_ask.add_argument("--seed", type=int, default=None)
-    p_ask.add_argument("--out", dest="outdir", default=None,
-                       help="directory for manifest.json and answer.json")
+    p_ask.add_argument("--out", default=None,
+                       help="output directory (overrides output_dir); "
+                            "also writes manifest.json and answer.json there")
     p_ask.set_defaults(func=cmd_ask)
 
     p_eval = sub.add_parser("eval", help="run the accuracy sweep and write reports")
@@ -221,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--quota", action="append", default=None, metavar="KIND=COUNT",
                        type=_parse_quota)
     p_eval.add_argument("--seed", type=int, default=None)
-    p_eval.add_argument("--out", default=None, help="output directory")
+    p_eval.add_argument("--out", default=None,
+                        help="output directory (overrides output_dir)")
     p_eval.set_defaults(func=cmd_eval)
 
     p_report = sub.add_parser("report", help="re-render tables from report.json")

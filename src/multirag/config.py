@@ -241,7 +241,8 @@ def build_pipeline_config(cfg: RunConfig) -> PipelineConfig:
 
 
 def load_corpus(cfg: RunConfig) -> Corpus:
-    corpus = Corpus()
+    """The configured corpus, its matrices stored under ``<output_dir>/index``."""
+    corpus = Corpus(store=Path(cfg["output_dir"]) / "index")
     for entry in cfg["corpus"]:
         corpus.ingest(entry["path"], kind=entry.get("kind", "qa"))
     return corpus

@@ -8,8 +8,13 @@ tie-breaking rule downstream refers to.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import logging
+import os
+import tempfile
 import threading
+import time
 import weakref
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,7 +23,10 @@ import numpy as np
 
 from .errors import DuplicateChunkError, MalformedLineError, UnknownChunkError
 
+log = logging.getLogger(__name__)
+
 KINDS = ("qa", "textbook")
+UNIT_NORM_TOL = 1e-9  # a stored row's norm may differ from 1 by this much
 
 
 @dataclass(frozen=True)
@@ -46,14 +54,21 @@ class ChunkIndex:
     vectors, and a question is scored with one matrix-vector product.
     An index built from ids alone (``kinds`` and ``texts`` omitted) serves
     similarity rows given as plain ``{chunk id: score}`` mappings.
+
+    With a ``store`` directory, a matrix is first looked for there as
+    ``<key>.npy``, the key being a hash of the provider's fingerprint and
+    the chunk texts in ingestion order; a missing or invalid file is built
+    as without a store and then written.
     """
 
     def __init__(self, ids: list[str], kinds: list[str] | None = None,
-                 texts: list[str] | None = None):
+                 texts: list[str] | None = None, store: str | Path | None = None):
         self.ids = ids
         self.position = {cid: i for i, cid in enumerate(ids)}
         self.kinds = None if kinds is None else np.array(kinds)
         self._texts = texts
+        self._store = None if store is None else Path(store)
+        self._texts_digest: str | None = None
         self._lock = threading.Lock()
         # provider -> [lock, matrix]; the lock makes concurrent first uses build once
         self._matrices: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -69,16 +84,90 @@ class ChunkIndex:
             if slot[1] is None:
                 if self._texts is None:
                     raise ValueError("this index holds no chunk texts to embed")
-                block = provider.embed_matrix(self._texts)
-                block /= np.linalg.norm(block, axis=1, keepdims=True)
+                path = None if self._store is None else self.stored_path(provider)
+                block = None if path is None else _load_matrix(path, len(self._texts), provider)
+                if block is None:
+                    t0 = time.perf_counter()
+                    block = provider.embed_matrix(self._texts)
+                    block /= np.linalg.norm(block, axis=1, keepdims=True)
+                    log.debug("built the %d x %d corpus matrix of %r in %.3f s",
+                              *block.shape, provider.model_id, time.perf_counter() - t0)
+                    if path is not None:
+                        _save_matrix(path, block)
                 slot[1] = block
             return slot[1]
 
+    def stored_path(self, provider) -> Path:
+        """``<store>/<key>.npy``: the key hashes the provider's fingerprint and
+        the chunk texts in ingestion order, each encoded as JSON."""
+        if self._texts_digest is None:
+            self._texts_digest = hashlib.sha256(
+                json.dumps(self._texts).encode("utf-8")).hexdigest()
+        key = json.dumps([provider.fingerprint(), self._texts_digest], sort_keys=True)
+        return self._store / f"{hashlib.sha256(key.encode('utf-8')).hexdigest()}.npy"
+
+
+def _load_matrix(path: Path, rows: int, provider) -> np.ndarray | None:
+    """The stored matrix at ``path`` if it passes every rule a built one does, else None.
+
+    A dimension that disagrees with the provider's raises
+    ``DimensionMismatchError``, as a freshly embedded block would.
+    """
+    try:
+        with open(path, "rb") as f:
+            block = np.load(f, allow_pickle=False)
+    except FileNotFoundError:
+        return None
+    except (OSError, ValueError, EOFError) as e:
+        log.warning("rejected the stored corpus matrix %s (%s); rebuilding it", path, e)
+        return None
+    if (not isinstance(block, np.ndarray) or block.dtype != np.float64 or block.ndim != 2
+            or block.shape[0] != rows or block.shape[1] == 0):
+        problem = (f"{getattr(block, 'dtype', type(block).__name__)} "
+                   f"of shape {getattr(block, 'shape', None)}")
+    # a non-finite entry makes its row's sum of squares inf or nan, failing this too
+    elif not (np.abs(np.sqrt(np.einsum("ij,ij->i", block, block)) - 1.0)
+              <= UNIT_NORM_TOL).all():
+        problem = ("non-finite entries" if not np.isfinite(block).all()
+                   else "rows that are not unit-norm")
+    else:
+        provider.hold_dims({block.shape[1]})
+        log.debug("loaded the %d x %d corpus matrix of %r from %s",
+                  *block.shape, provider.model_id, path)
+        return block
+    log.warning("rejected the stored corpus matrix %s (%s, want %d float64 rows); "
+                "rebuilding it", path, problem, rows)
+    return None
+
+
+def _save_matrix(path: Path, block: np.ndarray) -> None:
+    """Write ``block`` to ``path`` atomically; a failure is logged, not raised."""
+    tmp = None
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
+        with os.fdopen(fd, "wb") as f:
+            np.save(f, block, allow_pickle=False)
+        os.replace(tmp, path)
+        log.debug("stored the corpus matrix at %s", path)
+    except OSError as e:
+        log.warning("could not store the corpus matrix at %s: %s", path, e)
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+
 
 class Corpus:
-    """Ordered, immutable-after-ingestion chunk store with a kind index."""
+    """Ordered, immutable-after-ingestion chunk store with a kind index.
 
-    def __init__(self):
+    ``store`` is a directory for the index's corpus matrices (see
+    ``ChunkIndex``); without it they live in memory only.
+    """
+
+    def __init__(self, store: str | Path | None = None):
+        self.store = store
         self._chunks: list[Chunk] = []
         self._by_id: dict[str, Chunk] = {}
         self._position: dict[str, int] = {}
@@ -120,7 +209,7 @@ class Corpus:
             if self._index is None:
                 chunks = self._chunks
                 self._index = ChunkIndex([c.id for c in chunks], [c.kind for c in chunks],
-                                         [c.text for c in chunks])
+                                         [c.text for c in chunks], store=self.store)
             return self._index
 
     def add(self, chunk: Chunk) -> None:

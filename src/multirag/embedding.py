@@ -6,7 +6,9 @@ client for OpenAI-compatible ``/v1/embeddings`` endpoints. ``embed``
 caches by text — legal because every provider promises that identical
 input text yields an identical vector within one instance — while
 ``embed_matrix`` returns a whole corpus as one validated matrix and
-caches none of it.
+caches none of it. A provider's ``fingerprint()`` names everything its
+vectors depend on besides the text, so a corpus matrix stored on disk can
+be keyed by it.
 """
 
 from __future__ import annotations
@@ -53,34 +55,41 @@ class _CachingProvider:
     model_id: str
     batch_size: int = 1024  # texts per _compute_batch call
 
-    def __init__(self):
+    def __init__(self, dim: int | None = None):
         self._cache: dict[str, EmbeddingVector] = {}
         self._lock = threading.Lock()
-        self._dim: int | None = None
+        self._dim = dim  # the one vector dimension, once known
+
+    def fingerprint(self) -> dict:
+        """JSON-able identity of this provider's vectors, without credentials."""
+        raise NotImplementedError
 
     def _compute_batch(self, texts: list[str]) -> list[np.ndarray] | np.ndarray:
         """One vector per text: a list of vectors or a 2-D array of rows."""
         raise NotImplementedError
+
+    def hold_dims(self, dims: set[int]) -> None:
+        """The dimension rule: every vector of a provider, computed or loaded
+        from a stored matrix, has the one dimension recorded here."""
+        with self._lock:
+            if self._dim is not None:
+                dims = dims | {self._dim}
+            if len(dims) > 1:
+                raise DimensionMismatchError(
+                    f"provider {self.model_id!r} returned mixed dimensions {sorted(dims)}")
+            (self._dim,) = dims
 
     def _checked(self, raw: list[np.ndarray] | np.ndarray) -> np.ndarray:
         """Stack one computed batch, holding it to ``EmbeddingVector``'s rules."""
         shapes = {np.shape(v) for v in raw}
         if any(len(shape) != 1 or shape[0] == 0 for shape in shapes):
             raise ValueError("embedding must be a non-empty 1-D vector")
-        dims = {shape[0] for shape in shapes}
-        with self._lock:
-            if self._dim is not None:
-                dims.add(self._dim)
-        if len(dims) > 1:
-            raise DimensionMismatchError(
-                f"provider {self.model_id!r} returned mixed dimensions {sorted(dims)}")
+        self.hold_dims({shape[0] for shape in shapes})
         block = np.array(raw, dtype=np.float64)
         if not np.isfinite(block).all():
             raise ValueError("embedding contains non-finite entries")
         if not np.linalg.norm(block, axis=1).all():
             raise ZeroVectorError(f"zero-norm embedding from {self.model_id!r}")
-        with self._lock:
-            self._dim = block.shape[1]
         return block
 
     def embed_matrix(self, texts: list[str]) -> np.ndarray:
@@ -112,12 +121,19 @@ class _CachingProvider:
 class DeterministicProvider(_CachingProvider):
     """Pure test provider: vector = seeded-hash expansion of (model id, text)."""
 
+    VECTOR_VERSION = 1  # bump when _vector or _compute_batch changes its output
+
     def __init__(self, model_id: str, dim: int = 32):
-        super().__init__()
         if dim <= 0:
             raise ValueError("dimension must be positive")
+        super().__init__(dim)
         self.model_id = model_id
         self.dim = dim
+
+    def fingerprint(self) -> dict:
+        # a numpy release may change the Generator streams behind _vector
+        return {"kind": "deterministic", "model": self.model_id, "dim": self.dim,
+                "numpy": np.__version__, "vector": self.VECTOR_VERSION}
 
     def _compute_batch(self, texts: list[str]) -> np.ndarray:
         block = np.array([self._vector(t) for t in texts])
@@ -151,6 +167,10 @@ class RemoteProvider(_CachingProvider):
         self.retries = retries
         self.backoff = backoff
         self._headers = transport.bearer_headers(api_key_env)
+
+    def fingerprint(self) -> dict:
+        # the server's weights are trusted to stay fixed per (endpoint, model)
+        return {"kind": "remote", "endpoint": self.endpoint, "model": self.model_id}
 
     def _compute_batch(self, texts: list[str]) -> list[np.ndarray]:
         body = transport.post_json(

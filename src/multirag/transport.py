@@ -25,12 +25,13 @@ def bearer_headers(api_key_env: str | None) -> dict[str, str]:
 def _retry_after(resp) -> float | None:
     """Seconds asked for by an integer ``Retry-After`` header, else None."""
     value = resp.headers.get("Retry-After", "").strip()
-    return float(value) if value.isdigit() else None
+    # isdigit() alone also accepts non-ASCII digits such as '²', which float() rejects
+    return float(value) if value.isascii() and value.isdigit() else None
 
 
 def post_json(url: str, payload: dict, headers: dict[str, str],
               timeout: float = 30.0, retries: int = 2, backoff: float = 0.5) -> dict:
-    """POST JSON and return the decoded JSON body.
+    """POST JSON and return the decoded JSON object.
 
     Connection failures, 5xx responses and 429 (rate limited) responses
     are retried with exponential backoff; other 4xx responses are fatal
@@ -50,9 +51,12 @@ def post_json(url: str, payload: dict, headers: dict[str, str],
         else:
             if resp.status_code < 400:
                 try:
-                    return resp.json()
+                    body = resp.json()
                 except ValueError as e:
                     raise TransportError(f"{url}: response is not JSON: {e}") from e
+                if not isinstance(body, dict):
+                    raise TransportError(f"{url}: response is not a JSON object")
+                return body
             if resp.status_code < 500 and resp.status_code != 429:
                 raise TransportError(f"{url}: HTTP {resp.status_code}: {resp.text[:200]}")
             last = TransportError(f"{url}: HTTP {resp.status_code}")

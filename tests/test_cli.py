@@ -1,4 +1,5 @@
 import json
+import logging
 import subprocess
 import sys
 from pathlib import Path
@@ -91,6 +92,38 @@ class TestAsk:
         answer = json.loads((outdir / "answer.json").read_text())
         assert answer["pipeline"] == "confident"
 
+    def test_out_is_the_output_dir(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        hashes = []
+        for name in ("d1", "d2"):
+            outdir = tmp_path / name
+            assert main(["ask", "How many?", "--config", str(cfg), "--out", str(outdir)]) == 0
+            manifest = json.loads((outdir / "manifest.json").read_text())
+            assert json.loads((outdir / "answer.json").read_text())["pipeline"] == "confident"
+            assert len(list((outdir / "index").glob("*.npy"))) == 3  # one per model
+            hashes.append(manifest["config_hash"])
+        assert hashes[0] != hashes[1]  # output_dir is part of the hashed config
+        assert not (tmp_path / "out").exists()
+
+    def test_verbose_shows_index_build_then_load(self, tmp_path, capsys, caplog):
+        cfg = write_config(tmp_path)
+        caplog.set_level(logging.DEBUG, logger="multirag.corpus")
+        args = ["ask", "How many?", "--config", str(cfg), "--verbose"]
+        assert main(args) == 0
+        assert caplog.text.count("built the 9 x 32 corpus matrix") == 3
+        caplog.clear()
+        assert main(args) == 0
+        assert caplog.text.count("loaded the 9 x 32 corpus matrix") == 3
+        assert "built the" not in caplog.text
+
+    def test_unwritable_output_dir_still_answers(self, tmp_path, capsys, caplog):
+        blocked = tmp_path / "blocked"
+        blocked.write_text("a file where the output directory should be")
+        cfg = write_config(tmp_path, output_dir=str(blocked))
+        assert main(["ask", "How many?", "--config", str(cfg)]) == 0
+        assert "####" in capsys.readouterr().out
+        assert "could not store the corpus matrix" in caplog.text
+
     def test_k_zero_is_bare_llm(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["ask", "Just the question.", "--config", str(cfg),
@@ -160,6 +193,21 @@ class TestEval:
             a = (tmp_path / "r1" / name).read_bytes()
             b = (tmp_path / "r2" / name).read_bytes()
             assert a == b, f"{name} differs between reruns"
+
+    def test_rerun_into_one_output_dir_loads_the_index(self, tmp_path, caplog):
+        cfg = write_config(tmp_path)
+        outdir = tmp_path / "out"
+        names = ["report.json", "tables.txt"] + [
+            f"cdf_{m}.csv" for m in ("avg-log-p", "self-certainty", "gini", "entropy", "dp")]
+        caplog.set_level(logging.DEBUG, logger="multirag.corpus")
+        assert main(["eval", "--config", str(cfg)]) == 0
+        first = {name: (outdir / name).read_bytes() for name in names}
+        assert caplog.text.count("built the") == 3
+        caplog.clear()
+        assert main(["eval", "--config", str(cfg)]) == 0
+        assert caplog.text.count("loaded the") == 3 and "built the" not in caplog.text
+        for name in names:
+            assert (outdir / name).read_bytes() == first[name], f"{name} differs on rerun"
 
     def test_accuracy_cells_match_recount(self, tmp_path):
         cfg = write_config(tmp_path)

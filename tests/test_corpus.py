@@ -1,9 +1,22 @@
 import json
+import logging
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from multirag.corpus import Chunk, Corpus
-from multirag.errors import DuplicateChunkError, MalformedLineError, UnknownChunkError
+from multirag.corpus import Chunk, ChunkIndex, Corpus
+from multirag.embedding import DeterministicProvider, RemoteProvider
+from multirag.errors import (
+    DimensionMismatchError,
+    DuplicateChunkError,
+    MalformedLineError,
+    UnknownChunkError,
+)
 
 
 def write_jsonl(path, rows):
@@ -144,3 +157,234 @@ def test_chunk_validation():
         Chunk(id="a", text="x", kind="web")
     with pytest.raises(ValueError):
         Chunk(id="", text="x", kind="qa")
+
+
+# ---------------------------------------------------------------------------
+# the on-disk matrix store
+# ---------------------------------------------------------------------------
+
+TEXTS = [f"Ann has {i} coins and finds {i + 1} more. #### {2 * i + 1}" for i in range(12)]
+
+
+class Counting(DeterministicProvider):
+    """Deterministic provider that records every batch it computes."""
+
+    def __init__(self, model_id="det-a", dim=8):
+        super().__init__(model_id, dim=dim)
+        self.batches = 0
+
+    def _compute_batch(self, texts):
+        self.batches += 1
+        return super()._compute_batch(texts)
+
+
+def stored_corpus(store, texts=TEXTS) -> Corpus:
+    corpus = Corpus(store=store)
+    for i, text in enumerate(texts):
+        corpus.add(Chunk(id=f"c{i}", text=text, kind="qa"))
+    return corpus
+
+
+def build(store, provider=None) -> np.ndarray:
+    return stored_corpus(store).index().matrix(provider or Counting())
+
+
+def stored_files(store: Path) -> list[Path]:
+    return sorted(store.iterdir())
+
+
+class TestMatrixStore:
+    def test_loaded_matrix_equals_built_bit_for_bit(self, tmp_path):
+        store = tmp_path / "index"
+        in_memory = stored_corpus(None).index().matrix(Counting())
+        built = build(store)
+        (path,) = stored_files(store)
+        assert path.suffix == ".npy"
+        provider = Counting()
+        loaded = build(store, provider)
+        assert provider.batches == 0
+        for block in (built, loaded):
+            assert block.dtype == in_memory.dtype and block.shape == in_memory.shape
+            assert block.tobytes() == in_memory.tobytes()
+
+    def test_load_and_build_are_logged(self, tmp_path, caplog):
+        caplog.set_level(logging.DEBUG, logger="multirag.corpus")
+        build(tmp_path)
+        assert "built the 12 x 8 corpus matrix of 'det-a'" in caplog.text
+        caplog.clear()
+        build(tmp_path)
+        assert "loaded the 12 x 8 corpus matrix of 'det-a'" in caplog.text
+
+    def test_without_a_store_nothing_is_written(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        stored_corpus(None).index().matrix(Counting())
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("provider, texts", [
+        (DeterministicProvider("det-b", dim=8), TEXTS),
+        (DeterministicProvider("det-a", dim=16), TEXTS),
+        (DeterministicProvider("det-a", dim=8), TEXTS[:-1] + ["Ann has no coins."]),
+        (DeterministicProvider("det-a", dim=8), TEXTS[::-1]),
+        (DeterministicProvider("det-a", dim=8), TEXTS[:-1]),
+    ], ids=["model", "dim", "text", "order", "count"])
+    def test_key_covers_provider_and_texts(self, tmp_path, provider, texts):
+        ids = [f"c{i}" for i in range(len(TEXTS))]
+        base = ChunkIndex(ids, texts=TEXTS, store=tmp_path)
+        changed = ChunkIndex(ids[:len(texts)], texts=texts, store=tmp_path)
+        same = base.stored_path(DeterministicProvider("det-a", dim=8))
+        assert ChunkIndex(ids, texts=list(TEXTS), store=tmp_path).stored_path(
+            DeterministicProvider("det-a", dim=8)) == same
+        assert changed.stored_path(provider) != same
+
+    def test_key_covers_the_endpoint_but_not_credentials(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("EMB_TOKEN", "secret")
+        index = ChunkIndex(["c0"], texts=["t"], store=tmp_path)
+        here = RemoteProvider("emb-x", endpoint="http://127.0.0.1:1")
+        there = RemoteProvider("emb-x", endpoint="http://127.0.0.1:2")
+        keyed = RemoteProvider("emb-x", endpoint="http://127.0.0.1:1", api_key_env="EMB_TOKEN")
+        assert index.stored_path(here) != index.stored_path(there)
+        assert index.stored_path(here) == index.stored_path(keyed)
+        assert "secret" not in json.dumps(keyed.fingerprint())
+
+    @staticmethod
+    def _truncated(path, built):
+        data = path.read_bytes()
+        path.write_bytes(data[:len(data) // 2])
+
+    @staticmethod
+    def _header_only(path, built):
+        path.write_bytes(path.read_bytes()[:64])
+
+    @staticmethod
+    def _wrong_shape(path, built):
+        np.save(path, built[:-1])
+
+    @staticmethod
+    def _wrong_dtype(path, built):
+        np.save(path, built.astype(np.float32))
+
+    @staticmethod
+    def _nan(path, built):
+        bad = built.copy()
+        bad[3, 2] = np.nan
+        np.save(path, bad)
+
+    @staticmethod
+    def _not_unit(path, built):
+        bad = built.copy()
+        bad[5] *= 1.0 + 1e-6
+        np.save(path, bad)
+
+    @staticmethod
+    def _pickled_objects(path, built):
+        np.save(path, np.array([{"rows": 12}, "x"], dtype=object), allow_pickle=True)
+
+    @staticmethod
+    def _not_npy(path, built):
+        path.write_text("not an array")
+
+    @pytest.mark.parametrize("corrupt", [
+        "_truncated", "_header_only", "_wrong_shape", "_wrong_dtype", "_nan", "_not_unit",
+        "_pickled_objects", "_not_npy"])
+    def test_invalid_file_is_rejected_and_rebuilt(self, tmp_path, caplog, corrupt):
+        built = build(tmp_path)
+        (path,) = stored_files(tmp_path)
+        getattr(self, corrupt)(path, built)
+        caplog.set_level(logging.WARNING, logger="multirag.corpus")
+        provider = Counting()
+        rebuilt = build(tmp_path, provider)
+        assert provider.batches == 1
+        assert "rejected the stored corpus matrix" in caplog.text
+        assert rebuilt.tobytes() == built.tobytes()
+        # the rebuild overwrote the bad file with a good one
+        assert stored_files(tmp_path) == [path]
+        assert np.load(path, allow_pickle=False).tobytes() == built.tobytes()
+
+    def test_loaded_dimension_must_agree_with_the_provider(self, tmp_path):
+        build(tmp_path)
+        (path,) = stored_files(tmp_path)
+        rows = np.random.default_rng(0).standard_normal((len(TEXTS), 4))
+        np.save(path, rows / np.linalg.norm(rows, axis=1, keepdims=True))
+        with pytest.raises(DimensionMismatchError):
+            build(tmp_path)
+
+    def test_loaded_dimension_binds_a_remote_provider(self, tmp_path):
+        provider = RemoteProvider("emb-x", endpoint="http://127.0.0.1:1")
+        index = ChunkIndex(["c0", "c1"], texts=["a", "b"], store=tmp_path)
+        np.save(index.stored_path(provider), np.eye(2, 3))
+        assert index.matrix(provider).shape == (2, 3)
+        with pytest.raises(DimensionMismatchError):
+            provider.hold_dims({4})
+
+    def test_unwritable_store_still_answers(self, tmp_path, caplog):
+        from multirag.config import default_template_text
+        from multirag.generation import MockBackend
+        from multirag.pipeline import PipelineConfig, run_confident
+        from multirag.retrieval import PromptTemplate
+        blocked = tmp_path / "blocked"
+        blocked.write_text("a file where the store's parent directory should be")
+        corpus = stored_corpus(blocked / "index")
+        cfg = PipelineConfig(
+            providers=[Counting("det-a"), Counting("det-b")], backend=MockBackend(seed=3),
+            template=PromptTemplate(text=default_template_text()),
+            k=2, quotas=None)
+        caplog.set_level(logging.WARNING, logger="multirag.corpus")
+        result = run_confident("q", "How many coins?", ["det-a", "det-b"], corpus, cfg)
+        assert result.answer and len(result.records) == 2
+        assert caplog.text.count("could not store the corpus matrix") == 2
+        assert blocked.read_text().startswith("a file")
+
+    def test_threads_building_one_key(self, tmp_path):
+        workers = 4  # more than the cores of a small machine
+        gate = threading.Barrier(workers, timeout=10)
+
+        class Racing(Counting):
+            def _compute_batch(self, texts):
+                gate.wait()  # every thread is inside the build at once
+                return super()._compute_batch(texts)
+
+        results, errors = [None] * workers, []
+
+        def worker(slot):
+            try:
+                results[slot] = build(tmp_path, Racing())
+            except Exception as e:  # surfaced by the assertion below
+                errors.append(e)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(workers)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        (path,) = stored_files(tmp_path)
+        assert all(r.tobytes() == results[0].tobytes() for r in results)
+        assert np.load(path, allow_pickle=False).tobytes() == results[0].tobytes()
+
+    def test_two_processes_building_one_key(self, tmp_path):
+        script = (
+            "import sys\n"
+            "from multirag.corpus import Chunk, Corpus\n"
+            "from multirag.embedding import DeterministicProvider\n"
+            "corpus = Corpus(store=sys.argv[1])\n"
+            "for i in range(3000):\n"
+            "    corpus.add(Chunk(id=f'c{i}', text=f'chunk number {i}', kind='qa'))\n"
+            "corpus.index().matrix(DeterministicProvider('det-a', dim=16))\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        procs = [subprocess.Popen([sys.executable, "-c", script, str(tmp_path)], env=env,
+                                  stderr=subprocess.PIPE, text=True) for _ in range(2)]
+        for proc in procs:
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+        (path,) = stored_files(tmp_path)
+        corpus = Corpus()
+        for i in range(3000):
+            corpus.add(Chunk(id=f"c{i}", text=f"chunk number {i}", kind="qa"))
+        want = corpus.index().matrix(DeterministicProvider("det-a", dim=16))
+        assert np.load(path, allow_pickle=False).tobytes() == want.tobytes()

@@ -285,6 +285,7 @@ class TestTransport:
         (429, "1", 4.0, 30.0, 4.0),     # never shorter than the backoff
         (429, "600", 0.5, 5.0, 5.0),    # never longer than the call's timeout
         (429, "Wed, 21 Oct 2015 07:28:00 GMT", 0.5, 30.0, 0.5),  # dates ignored
+        (429, "\xb2", 0.5, 30.0, 0.5),  # a latin-1 '²' is no integer
     ])
     def test_retry_after_sets_the_wait(self, stub_server, sleeps, status, retry_after,
                                        backoff, timeout, wait):
@@ -298,6 +299,20 @@ class TestTransport:
                                   backoff=backoff, timeout=timeout)
         provider.embed(["a"])
         assert sleeps == [wait]
+
+    @pytest.mark.parametrize("payload", [[], "x", 3, None])
+    @pytest.mark.parametrize("path", ["/v1/embeddings", "/v1/chat/completions"])
+    def test_non_object_json_is_a_transport_error(self, stub_server, path, payload):
+        stub_server.route(path, lambda body: (200, payload))
+        provider = RemoteProvider("emb-x", endpoint=stub_server.url, retries=0)
+        backend = OpenAIChatBackend("llm-x", endpoint=stub_server.url, retries=0,
+                                    vocab_size=100)
+        with pytest.raises(TransportError, match="response is not a JSON object"):
+            if path == "/v1/embeddings":
+                provider.embed(["a"])
+            else:
+                backend.complete("q", DecodeParams())
+        assert len(stub_server.requests) == 1
 
     def test_client_error_with_retry_after_not_retried(self, stub_server, sleeps):
         stub_server.route("/v1/embeddings",
