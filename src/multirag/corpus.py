@@ -58,7 +58,9 @@ class ChunkIndex:
     With a ``store`` directory, a matrix is first looked for there as
     ``<key>.npy``, the key being a hash of the provider's fingerprint and
     the chunk texts in ingestion order; a missing or invalid file is built
-    as without a store and then written.
+    as without a store and then written. A stored matrix is memory-mapped
+    read-only, so processes that load one file share its page-cache copy;
+    a built one stays in memory.
     """
 
     def __init__(self, ids: list[str], kinds: list[str] | None = None,
@@ -108,14 +110,14 @@ class ChunkIndex:
 
 
 def _load_matrix(path: Path, rows: int, provider) -> np.ndarray | None:
-    """The stored matrix at ``path`` if it passes every rule a built one does, else None.
+    """The stored matrix at ``path``, mapped read-only, if it passes every rule a
+    built one does, else None.
 
     A dimension that disagrees with the provider's raises
     ``DimensionMismatchError``, as a freshly embedded block would.
     """
     try:
-        with open(path, "rb") as f:
-            block = np.load(f, allow_pickle=False)
+        block = np.load(path, mmap_mode="r", allow_pickle=False)
     except FileNotFoundError:
         return None
     except (OSError, ValueError, EOFError) as e:
@@ -134,14 +136,18 @@ def _load_matrix(path: Path, rows: int, provider) -> np.ndarray | None:
         provider.hold_dims({block.shape[1]})
         log.debug("loaded the %d x %d corpus matrix of %r from %s",
                   *block.shape, provider.model_id, path)
-        return block
+        return block.view(np.ndarray)
     log.warning("rejected the stored corpus matrix %s (%s, want %d float64 rows); "
                 "rebuilding it", path, problem, rows)
     return None
 
 
 def _save_matrix(path: Path, block: np.ndarray) -> None:
-    """Write ``block`` to ``path`` atomically; a failure is logged, not raised."""
+    """Write ``block`` to ``path`` atomically; a failure is logged, not raised.
+
+    The file is only ever replaced by a rename, never rewritten in place:
+    a process may hold the old one memory-mapped.
+    """
     tmp = None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -159,36 +165,53 @@ def _save_matrix(path: Path, block: np.ndarray) -> None:
                 pass
 
 
-class Corpus:
-    """Ordered, immutable-after-ingestion chunk store with a kind index.
+_DECODER = json.JSONDecoder()
 
-    ``store`` is a directory for the index's corpus matrices (see
-    ``ChunkIndex``); without it they live in memory only.
+
+def _json_value(line: str):
+    """``json.loads(line)``, skipping its whitespace scans when none is needed."""
+    try:
+        value, end = _DECODER.raw_decode(line)
+        if end == len(line):
+            return value
+    except json.JSONDecodeError:
+        pass
+    return json.loads(line)  # surrounding whitespace, or the error json.loads reports
+
+
+class Corpus:
+    """Ordered, immutable-after-ingestion chunk store, held as columns.
+
+    Chunk ids, texts, kinds and sources are parallel lists in ingestion
+    order; a ``Chunk`` is built only when one is read (``get``, iteration,
+    ``chunks``). ``store`` is a directory for the index's corpus matrices
+    (see ``ChunkIndex``); without it they live in memory only.
     """
 
     def __init__(self, store: str | Path | None = None):
         self.store = store
-        self._chunks: list[Chunk] = []
-        self._by_id: dict[str, Chunk] = {}
+        self._ids: list[str] = []
+        self._texts: list[str] = []
+        self._kinds: list[str] = []
+        self._sources: list[str] = []
         self._position: dict[str, int] = {}
-        self._by_kind: dict[str, list[str]] = {k: [] for k in KINDS}
         self._index: ChunkIndex | None = None
         self._index_lock = threading.Lock()
 
     def __len__(self) -> int:
-        return len(self._chunks)
+        return len(self._ids)
 
     def __iter__(self):
-        return iter(self._chunks)
+        return map(Chunk, self._ids, self._texts, self._kinds, self._sources)
 
     @property
     def chunks(self) -> list[Chunk]:
-        return list(self._chunks)
+        return list(self)
 
     def ids(self, kind: str | None = None) -> list[str]:
         if kind is None:
-            return [c.id for c in self._chunks]
-        return list(self._by_kind[kind])
+            return list(self._ids)
+        return [cid for cid, k in zip(self._ids, self._kinds) if k == kind]
 
     def position(self, chunk_id: str) -> int:
         """Ingestion ordinal of a chunk (the tie-break order)."""
@@ -198,35 +221,45 @@ class Corpus:
             raise UnknownChunkError(chunk_id) from None
 
     def get(self, chunk_id: str) -> Chunk:
-        try:
-            return self._by_id[chunk_id]
-        except KeyError:
-            raise UnknownChunkError(chunk_id) from None
+        i = self.position(chunk_id)
+        return Chunk(self._ids[i], self._texts[i], self._kinds[i], self._sources[i])
 
     def index(self) -> ChunkIndex:
         """The retrieval index of every chunk added so far, built on first use."""
         with self._index_lock:
             if self._index is None:
-                chunks = self._chunks
-                self._index = ChunkIndex([c.id for c in chunks], [c.kind for c in chunks],
-                                         [c.text for c in chunks], store=self.store)
+                # copies: a later add must not grow the lists an index was built on
+                self._index = ChunkIndex(list(self._ids), list(self._kinds),
+                                         list(self._texts), store=self.store)
             return self._index
 
     def add(self, chunk: Chunk) -> None:
-        if chunk.id in self._by_id:
-            raise DuplicateChunkError(chunk.id)
-        self._position[chunk.id] = len(self._chunks)
-        self._chunks.append(chunk)
-        self._by_id[chunk.id] = chunk
-        self._by_kind[chunk.kind].append(chunk.id)
+        self._append([chunk.id], [chunk.text], [chunk.kind], [chunk.source])
+
+    def _append(self, ids: list[str], texts: list[str], kinds: list[str],
+                sources: list[str]) -> None:
+        """Append validated columns in one step; a duplicate id adds nothing."""
+        start = len(self._ids)
+        fresh = dict(zip(ids, range(start, start + len(ids))))
+        if len(fresh) != len(ids) or not self._position.keys().isdisjoint(fresh):
+            seen: set[str] = set()
+            for cid in ids:  # name the first duplicate in ingestion order
+                if cid in self._position or cid in seen:
+                    raise DuplicateChunkError(cid)
+                seen.add(cid)
         with self._index_lock:
+            self._ids += ids
+            self._texts += texts
+            self._kinds += kinds
+            self._sources += sources
+            self._position.update(fresh)
             self._index = None
 
     def _fresh_id(self, taken: set[str]) -> str:
-        n = len(self._chunks) + len(taken)
+        n = len(self._ids) + len(taken)
         while True:
             cand = f"chunk-{n}"
-            if cand not in self._by_id and cand not in taken:
+            if cand not in self._position and cand not in taken:
                 return cand
             n += 1
 
@@ -235,10 +268,12 @@ class Corpus:
 
         ``*.jsonl`` files hold one JSON object per line
         (``{"id"?, "text", "kind"?, "source"?}``; the ``kind`` argument is
-        the default for lines that omit it). Any other extension is read
-        as plain text with blank-line-delimited chunks, ids auto-assigned
-        as ``chunk-<ordinal>``. The whole file is validated before
-        anything is stored, so a bad line adds nothing.
+        the default for lines that omit it). An absent, null or empty
+        ``id`` is auto-assigned as ``chunk-<ordinal>``; any other id, and a
+        present ``source``, must be a string. Any other extension is read
+        as plain text with blank-line-delimited chunks, ids auto-assigned.
+        The whole file is validated before anything is stored, so a bad
+        line adds nothing.
         """
         path = Path(path)
         if kind not in KINDS:
@@ -249,27 +284,23 @@ class Corpus:
             raise MalformedLineError(str(path), 0, f"unreadable file: {e}") from e
 
         if path.suffix.lower() == ".jsonl":
-            pending = self._parse_jsonl(str(path), raw, kind)
+            columns = self._parse_jsonl(str(path), raw, kind)
         else:
-            pending = self._parse_plain(raw, kind, source=str(path))
+            columns = self._parse_plain(raw, kind, source=str(path))
+        self._append(*columns)
+        return len(columns[0])
 
-        seen: set[str] = set()
-        for chunk in pending:
-            if chunk.id in self._by_id or chunk.id in seen:
-                raise DuplicateChunkError(chunk.id)
-            seen.add(chunk.id)
-        for chunk in pending:
-            self.add(chunk)
-        return len(pending)
-
-    def _parse_jsonl(self, path: str, raw: str, default_kind: str) -> list[Chunk]:
-        chunks: list[Chunk] = []
+    def _parse_jsonl(self, path: str, raw: str, default_kind: str) -> tuple[list[str], ...]:
+        ids: list[str] = []
+        texts: list[str] = []
+        kinds: list[str] = []
+        sources: list[str] = []
         assigned: set[str] = set()
         for line_no, line in enumerate(raw.splitlines(), start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                obj = _json_value(line)
             except json.JSONDecodeError as e:
                 raise MalformedLineError(path, line_no, f"invalid JSON: {e.msg}") from e
             if not isinstance(obj, dict):
@@ -280,16 +311,24 @@ class Corpus:
             kind = obj.get("kind", default_kind)
             if kind not in KINDS:
                 raise MalformedLineError(path, line_no, f"unknown kind {kind!r}")
-            chunk_id = obj.get("id") or self._fresh_id(assigned)
-            if not isinstance(chunk_id, str):
+            chunk_id = obj.get("id")
+            if chunk_id is None or chunk_id == "":
+                chunk_id = self._fresh_id(assigned)
+            elif not isinstance(chunk_id, str):
                 raise MalformedLineError(path, line_no, "'id' must be a string")
+            source = obj.get("source", path)
+            if not isinstance(source, str):
+                raise MalformedLineError(path, line_no, "'source' must be a string")
             assigned.add(chunk_id)
-            chunks.append(Chunk(id=chunk_id, text=text, kind=kind,
-                                source=obj.get("source", path)))
-        return chunks
+            ids.append(chunk_id)
+            texts.append(text)
+            kinds.append(kind)
+            sources.append(source)
+        return ids, texts, kinds, sources
 
-    def _parse_plain(self, raw: str, kind: str, source: str) -> list[Chunk]:
-        chunks: list[Chunk] = []
+    def _parse_plain(self, raw: str, kind: str, source: str) -> tuple[list[str], ...]:
+        ids: list[str] = []
+        texts: list[str] = []
         assigned: set[str] = set()
         for block in raw.split("\n\n"):
             text = block.strip()
@@ -297,8 +336,9 @@ class Corpus:
                 continue
             chunk_id = self._fresh_id(assigned)
             assigned.add(chunk_id)
-            chunks.append(Chunk(id=chunk_id, text=text, kind=kind, source=source))
-        return chunks
+            ids.append(chunk_id)
+            texts.append(text)
+        return ids, texts, [kind] * len(ids), [source] * len(ids)
 
     def kind_counts(self) -> dict[str, int]:
-        return {k: len(v) for k, v in self._by_kind.items()}
+        return {k: self._kinds.count(k) for k in KINDS}

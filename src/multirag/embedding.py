@@ -88,7 +88,8 @@ class _CachingProvider:
         block = np.array(raw, dtype=np.float64)
         if not np.isfinite(block).all():
             raise ValueError("embedding contains non-finite entries")
-        if not np.linalg.norm(block, axis=1).all():
+        # the zero-norm test of np.linalg.norm, without materialising block * block
+        if not np.einsum("ij,ij->i", block, block).all():
             raise ZeroVectorError(f"zero-norm embedding from {self.model_id!r}")
         return block
 

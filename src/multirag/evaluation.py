@@ -44,6 +44,8 @@ class QAItem:
     answer: str
 
     def __post_init__(self):
+        if not isinstance(self.question, str) or not self.question.strip():
+            raise ValueError(f"gold question for {self.id!r} must be a non-empty string")
         if not self.answer.strip():
             raise ValueError(f"gold answer for {self.id!r} is empty")
 

@@ -1,5 +1,6 @@
 import json
 import logging
+import mmap
 import os
 import subprocess
 import sys
@@ -159,6 +160,206 @@ def test_chunk_validation():
         Chunk(id="", text="x", kind="qa")
 
 
+@pytest.mark.parametrize("raw_id", [0, False, [], {}, 5, 1.5, ["a"], {"a": 1}, True])
+def test_jsonl_id_that_is_not_a_string_is_rejected(tmp_path, raw_id):
+    path = write_jsonl(tmp_path / "c.jsonl", [{"id": "a", "text": "one"},
+                                              {"id": raw_id, "text": "two"}])
+    corpus = Corpus()
+    with pytest.raises(MalformedLineError) as exc:
+        corpus.ingest(path, kind="qa")
+    assert exc.value.line_no == 2
+    assert str(exc.value).endswith(":2: 'id' must be a string")
+    assert len(corpus) == 0
+
+
+def test_jsonl_absent_null_or_empty_id_is_auto_assigned(tmp_path):
+    path = write_jsonl(tmp_path / "c.jsonl", [
+        {"text": "one"}, {"id": None, "text": "two"}, {"id": "", "text": "three"},
+        {"id": "x", "text": "four"}])
+    corpus = Corpus()
+    corpus.ingest(path, kind="qa")
+    assert corpus.ids() == ["chunk-0", "chunk-1", "chunk-2", "x"]
+
+
+@pytest.mark.parametrize("source", [None, 3, ["s"], {"s": 1}, False])
+def test_jsonl_source_must_be_a_string(tmp_path, source):
+    path = write_jsonl(tmp_path / "c.jsonl", [{"id": "a", "text": "one", "source": source}])
+    with pytest.raises(MalformedLineError) as exc:
+        Corpus().ingest(path, kind="qa")
+    assert str(exc.value).endswith(":1: 'source' must be a string")
+
+
+def test_jsonl_source_defaults_to_the_path(tmp_path):
+    path = write_jsonl(tmp_path / "c.jsonl", [{"id": "a", "text": "one"},
+                                              {"id": "b", "text": "two", "source": "web"}])
+    corpus = Corpus()
+    corpus.ingest(path, kind="qa")
+    assert [c.source for c in corpus] == [str(path), "web"]
+
+
+# ---------------------------------------------------------------------------
+# the column store against a per-Chunk reference ingest
+# ---------------------------------------------------------------------------
+
+class ReferenceCorpus:
+    """Per-``Chunk`` ingestion, the design the column store replaced: every
+    line becomes a ``Chunk`` that is checked and added on its own. It
+    applies the same id, source and duplicate rules."""
+
+    def __init__(self):
+        self.chunks: list[Chunk] = []
+        self.by_id: dict[str, Chunk] = {}
+
+    def fresh_id(self, taken: set[str]) -> str:
+        n = len(self.chunks) + len(taken)
+        while True:
+            cand = f"chunk-{n}"
+            if cand not in self.by_id and cand not in taken:
+                return cand
+            n += 1
+
+    def ingest(self, path: Path, kind: str) -> int:
+        try:
+            raw = path.read_text(encoding="utf-8")
+        except OSError as e:
+            raise MalformedLineError(str(path), 0, f"unreadable file: {e}") from e
+        if path.suffix.lower() == ".jsonl":
+            pending = self.parse_jsonl(str(path), raw, kind)
+        else:
+            pending = self.parse_plain(raw, kind, str(path))
+        seen: set[str] = set()
+        for chunk in pending:
+            if chunk.id in self.by_id or chunk.id in seen:
+                raise DuplicateChunkError(chunk.id)
+            seen.add(chunk.id)
+        for chunk in pending:
+            self.chunks.append(chunk)
+            self.by_id[chunk.id] = chunk
+        return len(pending)
+
+    def parse_jsonl(self, path: str, raw: str, default_kind: str) -> list[Chunk]:
+        chunks: list[Chunk] = []
+        assigned: set[str] = set()
+        for line_no, line in enumerate(raw.splitlines(), start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise MalformedLineError(path, line_no, f"invalid JSON: {e.msg}") from e
+            if not isinstance(obj, dict):
+                raise MalformedLineError(path, line_no, "expected a JSON object")
+            text = obj.get("text")
+            if not isinstance(text, str) or not text.strip():
+                raise MalformedLineError(path, line_no, "missing or empty 'text'")
+            kind = obj.get("kind", default_kind)
+            if kind not in ("qa", "textbook"):
+                raise MalformedLineError(path, line_no, f"unknown kind {kind!r}")
+            chunk_id = obj.get("id")
+            if chunk_id in (None, ""):
+                chunk_id = self.fresh_id(assigned)
+            if not isinstance(chunk_id, str):
+                raise MalformedLineError(path, line_no, "'id' must be a string")
+            source = obj.get("source", path)
+            if not isinstance(source, str):
+                raise MalformedLineError(path, line_no, "'source' must be a string")
+            assigned.add(chunk_id)
+            chunks.append(Chunk(id=chunk_id, text=text, kind=kind, source=source))
+        return chunks
+
+    def parse_plain(self, raw: str, kind: str, source: str) -> list[Chunk]:
+        chunks: list[Chunk] = []
+        assigned: set[str] = set()
+        for block in raw.split("\n\n"):
+            text = block.strip()
+            if text:
+                chunk_id = self.fresh_id(assigned)
+                assigned.add(chunk_id)
+                chunks.append(Chunk(id=chunk_id, text=text, kind=kind, source=source))
+        return chunks
+
+
+RANDOM_IDS = [None, "", "a", "b", "c", "chunk-0", "chunk-1", "chunk-2", "chunk-4", " "]
+RANDOM_TEXTS = ["one", "two words", "  padded  ", "café ünïcode", "line\nbreak", "#### 7"]
+
+
+def random_jsonl_line(rng) -> str:
+    roll = rng.random()
+    if roll < 0.08:
+        return rng.choice(["", "   ", "\t"])
+    if roll < 0.10:
+        return rng.choice(["[1]", "5", '"text"', "null", "true"])
+    if roll < 0.12:
+        return rng.choice(["{", "not json", '{"text": "x"} trailing', '{"text": "x",}',
+                           "\ufeff{}"])
+    obj = {}
+    if rng.random() < 0.97:
+        obj["text"] = rng.choice(RANDOM_TEXTS + ["", " ", 5] if rng.random() < 0.04
+                                 else RANDOM_TEXTS)
+    if rng.random() < 0.7:
+        obj["id"] = (rng.choice([0, False, [], {}, 5]) if rng.random() < 0.02
+                     else rng.choice(RANDOM_IDS + [f"id-{rng.randrange(40)}"] * 6))
+    if rng.random() < 0.4:
+        obj["kind"] = rng.choice(["web", None, 5] if rng.random() < 0.05
+                                 else ["qa", "textbook"])
+    if rng.random() < 0.3:
+        obj["source"] = rng.choice([None, 3] if rng.random() < 0.05 else ["s1", ""])
+    line = json.dumps(obj, ensure_ascii=rng.random() < 0.5)
+    return rng.choice(["  ", "", ""]) + line + rng.choice(["\t", "", ""])
+
+
+def random_file(rng, directory: Path, n: int) -> Path:
+    if rng.random() < 0.75:
+        path = directory / f"f{n}.jsonl"
+        lines = [random_jsonl_line(rng) for _ in range(rng.randrange(12))]
+        path.write_text("\n".join(lines) + rng.choice(["\n", ""]), encoding="utf-8")
+    else:
+        path = directory / f"f{n}.txt"
+        blocks = [rng.choice(RANDOM_TEXTS + ["", "  "]) for _ in range(rng.randrange(8))]
+        path.write_text(rng.choice(["\n\n", "\n\n\n"]).join(blocks), encoding="utf-8")
+    return path
+
+
+def outcome(ingest, path: Path, kind: str):
+    try:
+        return ingest(path, kind)
+    except (DuplicateChunkError, MalformedLineError) as e:
+        return type(e), str(e)
+
+
+def test_column_store_matches_the_per_chunk_reference(tmp_path):
+    import random
+    seen = {"added": 0, DuplicateChunkError: 0, MalformedLineError: 0}
+    for case in range(400):
+        rng = random.Random(case)
+        corpus, reference = Corpus(), ReferenceCorpus()
+        for n in range(rng.randrange(1, 4)):
+            path = random_file(rng, tmp_path, n)
+            kind = rng.choice(["qa", "textbook"])
+            got = outcome(corpus.ingest, path, kind)
+            assert got == outcome(reference.ingest, path, kind), (case, n)
+            seen["added" if isinstance(got, int) else got[0]] += 1
+            rows = [(c.id, c.text, c.kind, c.source) for c in reference.chunks]
+            assert [(c.id, c.text, c.kind, c.source) for c in corpus] == rows, (case, n)
+            assert corpus.chunks == reference.chunks
+            assert corpus.ids() == [c.id for c in reference.chunks]
+            assert all(corpus.get(c.id) == c and corpus.position(c.id) == i
+                       for i, c in enumerate(reference.chunks))
+            assert corpus.kind_counts() == {
+                k: sum(c.kind == k for c in reference.chunks) for k in ("qa", "textbook")}
+    # the generator reaches every outcome often enough to compare them
+    assert min(seen.values()) >= 40, seen
+
+
+def test_index_is_a_snapshot_of_the_columns(tmp_path):
+    corpus = Corpus()
+    corpus.add(Chunk(id="a", text="one", kind="qa"))
+    first = corpus.index()
+    corpus.add(Chunk(id="b", text="two", kind="textbook"))
+    assert first.ids == ["a"] and len(first) == 1 and list(first.kinds) == ["qa"]
+    assert corpus.index().ids == ["a", "b"] and list(corpus.index().kinds) == ["qa", "textbook"]
+
+
 # ---------------------------------------------------------------------------
 # the on-disk matrix store
 # ---------------------------------------------------------------------------
@@ -193,6 +394,13 @@ def stored_files(store: Path) -> list[Path]:
     return sorted(store.iterdir())
 
 
+def mapped(block: np.ndarray):
+    """The memory map behind ``block``, or None for an array in memory."""
+    while block is not None and not isinstance(block, mmap.mmap):
+        block = getattr(block, "base", None)
+    return block
+
+
 class TestMatrixStore:
     def test_loaded_matrix_equals_built_bit_for_bit(self, tmp_path):
         store = tmp_path / "index"
@@ -206,6 +414,28 @@ class TestMatrixStore:
         for block in (built, loaded):
             assert block.dtype == in_memory.dtype and block.shape == in_memory.shape
             assert block.tobytes() == in_memory.tobytes()
+
+    def test_loaded_matrix_is_a_read_only_map_of_the_file(self, tmp_path):
+        built = build(tmp_path)
+        assert built.flags.writeable and mapped(built) is None
+        loaded = build(tmp_path)
+        assert not loaded.flags.writeable and mapped(loaded) is not None
+        assert type(loaded) is np.ndarray
+        assert loaded.tobytes() == built.tobytes()
+        with pytest.raises(ValueError):
+            loaded[0, 0] = 0.0
+
+    def test_replacing_the_file_leaves_a_mapped_matrix_unchanged(self, tmp_path):
+        built = build(tmp_path)
+        (path,) = stored_files(tmp_path)
+        loaded = build(tmp_path)
+        replacement = tmp_path / "replacement.npy"
+        np.save(replacement, built[::-1])  # unit-norm rows, so a later load accepts it
+        os.replace(replacement, path)
+        assert loaded.tobytes() == built.tobytes()
+        provider = Counting()
+        assert build(tmp_path, provider).tobytes() == built[::-1].tobytes()
+        assert provider.batches == 0
 
     def test_load_and_build_are_logged(self, tmp_path, caplog):
         caplog.set_level(logging.DEBUG, logger="multirag.corpus")

@@ -311,6 +311,17 @@ class TestGoldLoader:
         with pytest.raises(MalformedLineError):
             load_gold(path)
 
+    @pytest.mark.parametrize("question", [5, None, "", "  ", ["x"], {"q": "x"}])
+    def test_question_must_be_a_non_empty_string(self, tmp_path, question):
+        path = tmp_path / "gold.jsonl"
+        path.write_text(json.dumps({"id": "q1", "question": "?", "answer": "3"}) + "\n"
+                        + json.dumps({"id": "q2", "question": question, "answer": "4"}) + "\n")
+        from multirag.errors import MalformedLineError
+        with pytest.raises(MalformedLineError) as exc:
+            load_gold(path)
+        assert exc.value.line_no == 2
+        assert "gold question for 'q2' must be a non-empty string" in str(exc.value)
+
 
 class TestRenderTables:
     def test_sections_present(self):
