@@ -136,7 +136,7 @@ def cmd_eval(args) -> int:
         return 1
     items = evaluation.load_gold(cfg["gold_path"])
     ev = cfg["eval"]
-    if ev["max_questions"]:
+    if ev["max_questions"] is not None:
         items = items[:ev["max_questions"]]
 
     results = evaluation.run_sweep(

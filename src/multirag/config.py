@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -71,9 +72,6 @@ class RunConfig:
     def __getitem__(self, key):
         return self.data[key]
 
-    def section(self, name: str) -> dict:
-        return self.data[name]
-
     def config_hash(self) -> str:
         canonical = json.dumps(self.data, sort_keys=True).encode("utf-8")
         return hashlib.sha256(canonical).hexdigest()
@@ -129,12 +127,18 @@ def _apply_override(data: dict, dotted: str, value) -> None:
     node[parts[-1]] = value
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _validate(data: dict) -> None:
     emb = data["embedding"]
     if emb["mode"] not in ("deterministic", "remote"):
         raise ConfigError(f"embedding.mode {emb['mode']!r} must be deterministic|remote")
     if not emb["models"] or len(set(emb["models"])) != len(emb["models"]):
         raise ConfigError("embedding.models must be a non-empty list of unique ids")
+    if not _is_int(emb["dimension"]) or emb["dimension"] < 1:
+        raise ConfigError("embedding.dimension must be a positive integer")
     if emb["mode"] == "remote" and not emb["endpoint"]:
         raise ConfigError("embedding.endpoint is required in remote mode")
 
@@ -152,13 +156,13 @@ def _validate(data: dict) -> None:
         raise ConfigError(f"confidence.metric must be one of {METRICS}")
 
     retr = data["retrieval"]
-    if retr["k"] < 0:
-        raise ConfigError("retrieval.k must be >= 0")
+    if not _is_int(retr["k"]) or retr["k"] < 0:
+        raise ConfigError("retrieval.k must be an integer >= 0")
     if retr["quotas"] is not None:
         for kind, count in retr["quotas"].items():
             if kind not in KINDS:
                 raise ConfigError(f"retrieval.quotas: unknown kind {kind!r}")
-            if not isinstance(count, int) or count < 0:
+            if not _is_int(count) or count < 0:
                 raise ConfigError(f"retrieval.quotas[{kind!r}] must be a count")
 
     ev = data["eval"]
@@ -166,11 +170,18 @@ def _validate(data: dict) -> None:
         if p not in PIPELINES:
             raise ConfigError(f"eval.pipelines: unknown pipeline {p!r}")
     for n in ev["combination_sizes"]:
-        if not isinstance(n, int) or n < 1:
+        if not _is_int(n) or n < 1:
             raise ConfigError("eval.combination_sizes must be positive integers")
         if n > len(emb["models"]):
             raise ConfigError(
                 f"combination size {n} exceeds the {len(emb['models'])} configured models")
+    limit = ev["max_questions"]
+    if limit is not None and (not _is_int(limit) or limit < 1):
+        raise ConfigError("eval.max_questions must be null or a positive integer")
+    sigma = ev["cdf_sigma"]
+    if (isinstance(sigma, bool) or not isinstance(sigma, (int, float))
+            or not math.isfinite(sigma) or sigma < 0):
+        raise ConfigError("eval.cdf_sigma must be a finite number >= 0")
 
     for entry in data["corpus"]:
         if not isinstance(entry, dict) or set(entry) - {"path", "kind"}:
@@ -180,9 +191,9 @@ def _validate(data: dict) -> None:
         if not entry.get("path"):
             raise ConfigError("corpus entry missing 'path'")
 
-    if not isinstance(data["seed"], int):
+    if not _is_int(data["seed"]):
         raise ConfigError("seed must be an integer")
-    if not isinstance(data["concurrency"], int) or data["concurrency"] < 1:
+    if not _is_int(data["concurrency"]) or data["concurrency"] < 1:
         raise ConfigError("concurrency must be a positive integer")
 
 

@@ -51,8 +51,12 @@ class QAItem:
 
 
 def load_gold(path: str | Path) -> list[QAItem]:
-    """Read a JSONL gold file: one {"id", "question", "answer"} per line."""
+    """Read a JSONL gold file: one {"id", "question", "answer"} per line.
+
+    Ids must be unique: the report keys each question by its id.
+    """
     items = []
+    seen: set[str] = set()
     path = Path(path)
     for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
@@ -62,10 +66,14 @@ def load_gold(path: str | Path) -> list[QAItem]:
         except json.JSONDecodeError as e:
             raise MalformedLineError(str(path), line_no, f"invalid JSON: {e.msg}") from e
         try:
-            items.append(QAItem(id=str(obj["id"]), question=obj["question"],
-                                answer=str(obj["answer"])))
+            item = QAItem(id=str(obj["id"]), question=obj["question"],
+                          answer=str(obj["answer"]))
         except (KeyError, TypeError, ValueError) as e:
             raise MalformedLineError(str(path), line_no, str(e)) from e
+        if item.id in seen:
+            raise MalformedLineError(str(path), line_no, f"duplicate gold id {item.id!r}")
+        seen.add(item.id)
+        items.append(item)
     return items
 
 
@@ -352,6 +360,25 @@ def empirical_cdf(scores: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     return np.searchsorted(scores, thresholds, side="right") / scores.size
 
 
+def _gaussian_smooth(x: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian filter of ``x`` truncated at 4σ, with nearest-edge padding.
+
+    The taps are ``exp(-k²/2σ²)`` for ``|k| <= int(4σ + 0.5)``, normalised
+    to sum 1. The sum starts at the centre tap and then adds each mirrored
+    pair from the outermost inwards; the reports' bits depend on that order.
+    """
+    r = int(4.0 * sigma + 0.5)
+    k = np.arange(-r, r + 1)
+    w = np.exp(-0.5 / (sigma * sigma) * k ** 2)
+    w = w / w.sum()
+    n = x.size
+    padded = np.pad(x, r, mode="edge")
+    out = x * w[r]
+    for j in range(r, 0, -1):
+        out += (padded[r - j:r - j + n] + padded[r + j:r + j + n]) * w[r + j]
+    return out
+
+
 def cdf_report(records: list[GenerationRecord], metric: str,
                sigma: float = 1.0, grid_points: int = 101) -> CdfTable:
     """Empirical CDF of oriented confidence scores, raw and Gaussian-smoothed.
@@ -360,8 +387,6 @@ def cdf_report(records: list[GenerationRecord], metric: str,
     past the maximum, where the CDF is flat at 1.0; with nearest-edge
     padding the Gaussian filter then leaves the terminal value at 1.0.
     """
-    from scipy.ndimage import gaussian_filter1d  # imported here: `ask` never needs scipy
-
     if not records:
         raise ValueError("cdf_report requires at least one record")
     scores = np.array([r.confidence[metric].oriented for r in records])
@@ -375,7 +400,7 @@ def cdf_report(records: list[GenerationRecord], metric: str,
     step = (hi - lo) / (grid_points - 1)
     thresholds = lo + step * np.arange(grid_points + flat_tail)
     raw = empirical_cdf(scores, thresholds)
-    smoothed = gaussian_filter1d(raw, sigma=sigma, mode="nearest") if sigma > 0 else raw.copy()
+    smoothed = _gaussian_smooth(raw, sigma) if sigma > 0 else raw.copy()
     return CdfTable(metric, thresholds, raw, smoothed)
 
 
@@ -390,13 +415,14 @@ def write_report_files(outdir: str | Path, report: AccuracyReport,
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
 
+    report_dict = report.to_dict()
     report_path = outdir / "report.json"
     report_path.write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        json.dumps(report_dict, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     written.append(report_path)
 
     tables_path = outdir / "tables.txt"
-    tables_path.write_text(render_tables(report.to_dict(), model_ids), encoding="utf-8")
+    tables_path.write_text(render_tables(report_dict, model_ids), encoding="utf-8")
     written.append(tables_path)
 
     for metric, table in sorted(cdf_tables.items()):

@@ -215,18 +215,20 @@ def fuse(rows: list[SimilarityRow], k: int,
 _PLACEHOLDER = re.compile(r"\{\{(question|references)\}\}")
 
 
+# one numbered reference, and the section that wraps the joined references
+_REFERENCE_FORMAT = "[{index}] {text}"
+_SECTION_FORMAT = "References:\n{blocks}\n\n"
+
+
 @dataclass(frozen=True)
 class PromptTemplate:
     """Prompt text with {{question}} and {{references}} placeholders.
 
-    ``reference_format`` renders one numbered reference; the joined blocks
-    are wrapped in ``section_format``, and the whole section collapses to
-    the empty string when there are no references (vanilla-LLM mode).
+    The references section collapses to the empty string when there are
+    no references (vanilla-LLM mode).
     """
 
     text: str
-    reference_format: str = "[{index}] {text}"
-    section_format: str = "References:\n{blocks}\n\n"
 
     def __post_init__(self):
         found = [m.group(1) for m in _PLACEHOLDER.finditer(self.text)]
@@ -241,9 +243,9 @@ def assemble_prompt(template: PromptTemplate, question: str,
     """Deterministic montage of the question and ordered references."""
     if references:
         blocks = "\n".join(
-            template.reference_format.format(index=i, text=chunk.text)
+            _REFERENCE_FORMAT.format(index=i, text=chunk.text)
             for i, chunk in enumerate(references, start=1))
-        section = template.section_format.format(blocks=blocks)
+        section = _SECTION_FORMAT.format(blocks=blocks)
     else:
         section = ""
     mapping = {"question": question, "references": section}

@@ -1,5 +1,7 @@
+import ast
 import json
 import logging
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -226,6 +228,35 @@ class TestEval:
         cfg = write_config(tmp_path, gold_path=None)
         assert main(["eval", "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("eval", "cdf_sigma", "1"), ("eval", "cdf_sigma", True),
+        ("eval", "cdf_sigma", -0.5), ("eval", "cdf_sigma", float("nan")),
+        ("eval", "cdf_sigma", float("inf")),
+        ("retrieval", "k", 2.5), ("retrieval", "k", "3"), ("retrieval", "k", True),
+        ("embedding", "dimension", "8"), ("embedding", "dimension", 0),
+        ("embedding", "dimension", 8.0), ("embedding", "dimension", True),
+        ("eval", "max_questions", -1), ("eval", "max_questions", 0),
+        ("eval", "max_questions", 2.5), ("eval", "max_questions", True),
+    ])
+    def test_bad_number_rejected_before_any_work(self, tmp_path, capsys,
+                                                 section, key, value):
+        cfg = write_config(tmp_path)
+        data = json.loads(cfg.read_text())
+        data.setdefault(section, {})[key] = value
+        cfg.write_text(json.dumps(data))
+        assert main(["eval", "--config", str(cfg)]) == 1
+        assert f"error: {section}.{key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_question_limit_and_integer_sigma(self, tmp_path):
+        cfg = write_config(tmp_path)
+        data = json.loads(cfg.read_text())
+        data["eval"].update(max_questions=2, cdf_sigma=2)
+        cfg.write_text(json.dumps(data))
+        assert main(["eval", "--config", str(cfg)]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert [q["id"] for q in report["questions"]] == ["q0", "q1"]
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"seeed": 3}))
@@ -256,3 +287,31 @@ def test_cli_import_skips_scipy_and_requests():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={"PYTHONPATH": str(src)}).stdout
     assert out.strip() == "[]"
+
+
+def test_eval_never_imports_scipy(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    cfg = write_config(tmp_path)
+    code = ("import sys; from multirag.cli import main; "
+            f"rc = main(['eval', '--config', {str(cfg)!r}]); "
+            "print(rc, 'scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={"PYTHONPATH": str(src)}).stdout
+    assert out.strip().splitlines()[-1] == "0 False"
+
+
+def test_dependencies_name_exactly_the_imported_third_party_modules():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parent.parent
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    declared = {re.split(r"[\s<>=!~\[;]", req, maxsplit=1)[0].lower().replace("-", "_")
+                for req in project["dependencies"]}
+    imported = set()
+    for path in (root / "src" / "multirag").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"multirag"}
+    assert declared == third_party

@@ -9,6 +9,7 @@ from multirag.confidence import METRICS, ConfidenceScore
 from multirag.embedding import DeterministicProvider
 from multirag.evaluation import (
     QAItem,
+    _gaussian_smooth,
     aggregate,
     cdf_report,
     empirical_cdf,
@@ -296,6 +297,36 @@ class TestCdf:
                            "gini", sigma=0.0)
         assert np.array_equal(table.raw, table.smoothed)
 
+    # repr of scipy.ndimage.gaussian_filter1d(x, sigma, mode="nearest") (scipy
+    # 1.17.1); the σ = 2 case has a kernel radius of 8 on 5 points
+    SCIPY_PINS = [
+        (0.5, [0.0, 0.125, 0.375, 0.5, 0.875, 1.0],
+         "[0.013405295902725448, 0.13837231276738327, 0.3617266366386432, "
+         "0.52664567612874, 0.8482883576005755, 0.9865617209619324]"),
+        (1.0, [0.05, 0.1, 0.1, 0.35, 0.6, 0.65, 0.9, 0.95, 1.0, 1.0],
+         "[0.06620129398341276, 0.1007609062426323, 0.18710517253194386, "
+         "0.35384767096342745, 0.540122631547842, 0.697481150682391, "
+         "0.8387194662182946, 0.9350990528152765, 0.9808976311582427, "
+         "0.9968104167483466]"),
+        (1.7, [0.0, 0.1, 0.2, 0.2, 0.3, 0.45, 0.5, 0.7, 0.8, 0.9, 1.0, 1.0],
+         "[0.059206239778191574, 0.10982092017042194, 0.17360132489492458, "
+         "0.24822708878760624, 0.3355901600932848, 0.43704147479158084, "
+         "0.5495578914505999, 0.6657160957511341, 0.7749636591253507, "
+         "0.8664005637128027, 0.9324936948258518, 0.9721011285530696]"),
+        (2.0, [0.2, 0.4, 0.6, 0.8, 1.0],
+         "[0.3532417022961427, 0.46549326892006515, 0.6000000000000001, "
+         "0.7345067310799349, 0.8467582977038575]"),
+    ]
+
+    @pytest.mark.parametrize("sigma,x,expected", SCIPY_PINS)
+    def test_smoother_matches_pinned_scipy_bits(self, sigma, x, expected):
+        assert repr(_gaussian_smooth(np.array(x), sigma).tolist()) == expected
+
+    def test_report_smooths_with_the_kernel(self):
+        table = cdf_report(self.records([0.3, 1.0, 1.2, 2.9, 3.0]), "self-certainty",
+                           sigma=1.7)
+        assert np.array_equal(table.smoothed, _gaussian_smooth(table.raw, 1.7))
+
 
 class TestGoldLoader:
     def test_round_trip(self, tmp_path):
@@ -310,6 +341,18 @@ class TestGoldLoader:
         from multirag.errors import MalformedLineError
         with pytest.raises(MalformedLineError):
             load_gold(path)
+
+    def test_repeated_id_rejected_at_its_line(self, tmp_path):
+        path = tmp_path / "gold.jsonl"
+        rows = [{"id": "q0", "question": "One?", "answer": "1"},
+                {"id": "q0", "question": "Two?", "answer": "2"},
+                {"id": "q1", "question": "Three?", "answer": "3"}]
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        from multirag.errors import MalformedLineError
+        with pytest.raises(MalformedLineError) as exc:
+            load_gold(path)
+        assert exc.value.line_no == 2
+        assert "duplicate gold id 'q0'" in str(exc.value)
 
     @pytest.mark.parametrize("question", [5, None, "", "  ", ["x"], {"q": "x"}])
     def test_question_must_be_a_non_empty_string(self, tmp_path, question):
