@@ -27,6 +27,9 @@ log = logging.getLogger(__name__)
 
 KINDS = ("qa", "textbook")
 UNIT_NORM_TOL = 1e-9  # a stored row's norm may differ from 1 by this much
+# rows normalised per step: np.linalg.norm allocates two temporaries the size
+# of its input, so a step over the whole matrix briefly triples its memory
+NORM_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -90,8 +93,7 @@ class ChunkIndex:
                 block = None if path is None else _load_matrix(path, len(self._texts), provider)
                 if block is None:
                     t0 = time.perf_counter()
-                    block = provider.embed_matrix(self._texts)
-                    block /= np.linalg.norm(block, axis=1, keepdims=True)
+                    block = _unit_rows(provider.embed_matrix(self._texts))
                     log.debug("built the %d x %d corpus matrix of %r in %.3f s",
                               *block.shape, provider.model_id, time.perf_counter() - t0)
                     if path is not None:
@@ -107,6 +109,23 @@ class ChunkIndex:
                 json.dumps(self._texts).encode("utf-8")).hexdigest()
         key = json.dumps([provider.fingerprint(), self._texts_digest], sort_keys=True)
         return self._store / f"{hashlib.sha256(key.encode('utf-8')).hexdigest()}.npy"
+
+
+def _unit_rows(block: np.ndarray) -> np.ndarray:
+    """Divide each row of ``block`` by its L2 norm, in place, NORM_ROWS rows
+    at a time.
+
+    A row's norm does not depend on the other rows in the step, so the
+    result is bit-identical to one ``np.linalg.norm`` over the whole block.
+    Keeping the temporaries smaller than the block also keeps them from
+    raising glibc's mmap threshold to the block's size: if they did, the
+    next model's matrix would land in the brk heap, and how much of it the
+    heap gives back once it is freed would vary from run to run.
+    """
+    for start in range(0, len(block), NORM_ROWS):
+        rows = block[start:start + NORM_ROWS]
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    return block
 
 
 def _load_matrix(path: Path, rows: int, provider) -> np.ndarray | None:

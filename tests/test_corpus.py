@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from multirag.corpus import Chunk, ChunkIndex, Corpus
+from multirag.corpus import NORM_ROWS, Chunk, ChunkIndex, Corpus, _unit_rows
 from multirag.embedding import DeterministicProvider, RemoteProvider
 from multirag.errors import (
     DimensionMismatchError,
@@ -399,6 +399,15 @@ def mapped(block: np.ndarray):
     while block is not None and not isinstance(block, mmap.mmap):
         block = getattr(block, "base", None)
     return block
+
+
+@pytest.mark.parametrize("rows", [1, NORM_ROWS - 1, NORM_ROWS, 2 * NORM_ROWS + 3])
+def test_unit_rows_in_steps_equals_one_norm_over_the_block(rows):
+    block = np.random.default_rng(rows).standard_normal((rows, 48)) * 7.5
+    want = block / np.linalg.norm(block, axis=1, keepdims=True)
+    got = _unit_rows(block)
+    assert got is block
+    assert got.tobytes() == want.tobytes()
 
 
 class TestMatrixStore:
