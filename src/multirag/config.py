@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -18,6 +17,7 @@ from .confidence import EPSILON, METRICS
 from .corpus import KINDS, Corpus
 from .embedding import DeterministicProvider, RemoteProvider
 from .errors import ConfigError
+from .evaluation import MAX_CDF_SIGMA
 from .generation import DecodeParams, MockBackend, OpenAIChatBackend
 from .pipeline import PipelineConfig
 from .retrieval import PromptTemplate
@@ -180,8 +180,8 @@ def _validate(data: dict) -> None:
         raise ConfigError("eval.max_questions must be null or a positive integer")
     sigma = ev["cdf_sigma"]
     if (isinstance(sigma, bool) or not isinstance(sigma, (int, float))
-            or not math.isfinite(sigma) or sigma < 0):
-        raise ConfigError("eval.cdf_sigma must be a finite number >= 0")
+            or not 0 <= sigma <= MAX_CDF_SIGMA):
+        raise ConfigError(f"eval.cdf_sigma must be a number in [0, {MAX_CDF_SIGMA:g}]")
 
     for entry in data["corpus"]:
         if not isinstance(entry, dict) or set(entry) - {"path", "kind"}:

@@ -71,6 +71,10 @@ class ChunkIndex:
         self.ids = ids
         self.position = {cid: i for i, cid in enumerate(ids)}
         self.kinds = None if kinds is None else np.array(kinds)
+        # each kind's positions in ascending order, so per-kind selection
+        # reads them instead of comparing every chunk's label
+        self.kind_positions = None if kinds is None else {
+            kind: np.flatnonzero(self.kinds == kind) for kind in dict.fromkeys(kinds)}
         self._texts = texts
         self._store = None if store is None else Path(store)
         self._texts_digest: str | None = None

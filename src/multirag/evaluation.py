@@ -24,6 +24,7 @@ import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import combinations
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 import numpy as np
@@ -334,6 +335,12 @@ def vanilla_records_with_correctness(
 # CDF report
 # ---------------------------------------------------------------------------
 
+# the default grid spans the observed scores in 100 steps; a wider kernel
+# only flattens the whole curve, and the grid's tail and the smoothing
+# loop both grow with sigma
+MAX_CDF_SIGMA = 100.0
+
+
 @dataclass
 class CdfTable:
     metric: str
@@ -386,9 +393,12 @@ def cdf_report(records: list[GenerationRecord], metric: str,
     The grid spans the observed score range and continues a few steps
     past the maximum, where the CDF is flat at 1.0; with nearest-edge
     padding the Gaussian filter then leaves the terminal value at 1.0.
+    ``sigma`` is in grid steps, from 0 (no smoothing) to ``MAX_CDF_SIGMA``.
     """
     if not records:
         raise ValueError("cdf_report requires at least one record")
+    if not 0 <= sigma <= MAX_CDF_SIGMA:
+        raise ValueError(f"cdf sigma must be in [0, {MAX_CDF_SIGMA:g}], got {sigma!r}")
     scores = np.array([r.confidence[metric].oriented for r in records])
     lo, hi = float(scores.min()), float(scores.max())
     if lo == hi:
@@ -417,8 +427,7 @@ def write_report_files(outdir: str | Path, report: AccuracyReport,
 
     report_dict = report.to_dict()
     report_path = outdir / "report.json"
-    report_path.write_text(
-        json.dumps(report_dict, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    report_path.write_text(_json_text(report_dict) + "\n", encoding="utf-8")
     written.append(report_path)
 
     tables_path = outdir / "tables.txt"
@@ -430,6 +439,57 @@ def write_report_files(outdir: str | Path, report: AccuracyReport,
         table.write_csv(path)
         written.append(path)
     return written
+
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
+
+    ``json`` falls back to its pure-Python encoder whenever ``indent`` is
+    set; this writes the same text with less machinery. It takes what a
+    report holds: dicts with string keys, lists, tuples, strings, ints,
+    floats, bools and None, tested in the order ``json.encoder`` tests
+    them. Anything else raises ``TypeError``.
+    """
+    parts: list[str] = []
+    _encode(obj, "\n", parts.append)
+    return "".join(parts)
+
+
+def _encode(o, newline: str, emit) -> None:
+    if isinstance(o, str):
+        emit(_quote(o))
+    elif o is None:
+        emit("null")
+    elif o is True:
+        emit("true")
+    elif o is False:
+        emit("false")
+    elif isinstance(o, int):
+        emit(int.__repr__(o))
+    elif isinstance(o, float):
+        text = float.__repr__(o)
+        emit(_NON_FINITE.get(text, text))
+    elif isinstance(o, (list, tuple, dict)):
+        is_dict = isinstance(o, dict)
+        if not o:
+            emit("{}" if is_dict else "[]")
+            return
+        inner = newline + "  "
+        emit("{" if is_dict else "[")
+        for i, item in enumerate(sorted(o.items()) if is_dict else o):
+            emit("," + inner if i else inner)
+            if is_dict:
+                key, item = item
+                if not isinstance(key, str):
+                    raise TypeError(f"report keys must be strings, not {type(key).__name__}")
+                emit(_quote(key) + ": ")
+            _encode(item, inner, emit)
+        emit(newline + ("}" if is_dict else "]"))
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def _pct(x) -> str:

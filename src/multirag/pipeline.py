@@ -118,6 +118,7 @@ def run_mixture(question_id: str, question: str, model_ids: list[str],
     """
     if not model_ids:
         raise ValueError("mixture requires at least one model")
+    _reject_repeats(model_ids)
     combo = ",".join(model_ids)
     if config.k > 0:
         fused_rows = [_row(question_id, question, mid, corpus, config, rows)
@@ -128,6 +129,15 @@ def run_mixture(question_id: str, question: str, model_ids: list[str],
     else:
         ids = []
     return _answer(question_id, question, "mixture", combo, ids, corpus, config)
+
+
+def _reject_repeats(model_ids: list[str]) -> None:
+    """A model listed twice would only repeat its run, so it is an error."""
+    seen: set[str] = set()
+    for mid in model_ids:
+        if mid in seen:
+            raise ValueError(f"embedding model {mid!r} is listed more than once")
+        seen.add(mid)
 
 
 def _answer(question_id: str, question: str, pipeline: str, tag: str,
@@ -160,6 +170,7 @@ def run_confident(question_id: str, question: str, model_ids: list[str],
     """
     if not model_ids:
         raise ValueError("confident requires at least one model")
+    _reject_repeats(model_ids)
     ordered = sorted(model_ids, key=config.model_index)
 
     def one(mid: str):

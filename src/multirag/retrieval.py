@@ -4,10 +4,12 @@ A ``SimilarityRow`` holds one model's scores for one question as an
 array aligned with a ``ChunkIndex``: position ``i`` scores the chunk
 ingested ``i``-th, and every tie-break below ("ingestion order") means
 that position. Scoring a question against a corpus is one matrix-vector
-product with the index's unit-norm chunk matrix. Each row ranks its
-chunks (score descending, ingestion order ascending) and standardizes
-its scores once; top-k, per-kind selection and fusion reuse that work,
-so a row shared by several model combinations is processed once.
+product with the index's unit-norm chunk matrix. Every selection ranks
+by (score descending, ingestion order ascending) but sorts only the
+chunks that can make its cut: ``np.partition`` finds the score of the
+q-th best, and every chunk scoring at least that, ties included, is
+stable-sorted. Each row caches its selections and Z-scores, so a row
+shared by several model combinations is processed once.
 
 Fusion pools each model's top candidates, deduplicates chunk ids keeping
 the strongest standardized score, and re-sorts globally: (standardized
@@ -46,7 +48,7 @@ class ScoreMap(Mapping):
 
 
 class _RowScores(ScoreMap):
-    """A row's raw scores; a write drops the ranking and Z-scores cached from them."""
+    """A row's raw scores; a write drops the selections and Z-scores cached from them."""
 
     def __init__(self, row: SimilarityRow):
         super().__init__(row.index, row.values)
@@ -92,12 +94,6 @@ class SimilarityRow:
         """Chunk id -> raw score, in ingestion order; assignable per chunk."""
         return _RowScores(self)
 
-    def order(self) -> np.ndarray:
-        """Positions by (score descending, ingestion order ascending)."""
-        if "order" not in self._cache:
-            self._cache["order"] = np.argsort(-self.values, kind="stable")
-        return self._cache["order"]
-
     def zscores(self) -> np.ndarray:
         """Read-only Z-scores (population standard deviation) per position.
 
@@ -113,15 +109,48 @@ class SimilarityRow:
             self._cache["z"] = z
         return self._cache["z"]
 
+    def top(self, k: int) -> np.ndarray:
+        """Positions of the ``k`` best chunks, in rank order."""
+        key = ("top", k)
+        if key not in self._cache:
+            self._cache[key] = _best(self.values, k)
+        return self._cache[key]
+
     def by_kind(self, quotas: dict[str, int]) -> np.ndarray:
         """Positions of the top ``quotas[kind]`` chunks of each kind, in rank order."""
         key = ("kind", tuple(quotas.items()))
         if key not in self._cache:
             if self.index.kinds is None:
                 raise ValueError("per-kind quotas require an index with chunk kinds")
-            order = self.order()
-            self._cache[key] = order[_first_per_kind(self.index.kinds[order], quotas)]
+            empty = np.empty(0, dtype=np.intp)
+            picks = []
+            for kind, quota in quotas.items():
+                positions = self.index.kind_positions.get(kind, empty)
+                picks.append(positions[_best(self.values[positions], quota)])
+            p = np.concatenate(picks) if picks else empty
+            # each kind's picks are in rank order; merge them into the row's
+            self._cache[key] = p[np.lexsort((p, -self.values[p]))]
         return self._cache[key]
+
+
+def _best(values: np.ndarray, q: int) -> np.ndarray:
+    """Indices of the ``q`` best of ``values`` by (value descending, index ascending).
+
+    Only the entries at or above the q-th best value, ties included, are
+    sorted; a stable sort of those ascending indices ranks them exactly as a
+    stable sort of the whole array would.
+    """
+    if q < 0:
+        raise ValueError(f"cannot select {q} chunks: k and quotas must be >= 0")
+    n = len(values)
+    if q == 0:
+        return np.empty(0, dtype=np.intp)
+    if q < n:
+        cut = np.partition(values, n - q)[n - q]
+        candidates = np.flatnonzero(values >= cut)
+    else:
+        candidates = np.arange(n)
+    return candidates[np.argsort(-values[candidates], kind="stable")[:q]]
 
 
 def _first_per_kind(labels: np.ndarray, quotas: dict[str, int]) -> np.ndarray:
@@ -151,10 +180,8 @@ def score_all(provider, question: str, corpus: Corpus,
 
 def top_k(row: SimilarityRow, k: int) -> list[str]:
     """The k highest-scoring chunk ids, ties broken by ingestion order."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
     ids = row.index.ids
-    return [ids[i] for i in row.order()[:k]]
+    return [ids[i] for i in row.top(k)]
 
 
 def top_k_by_kind(row: SimilarityRow, quotas: dict[str, int]) -> list[str]:
@@ -191,7 +218,7 @@ def fuse(rows: list[SimilarityRow], k: int,
         if row.index is not index and row.index.ids != index.ids:
             raise ValueError("rows score different corpora or different chunk orders")
 
-    selected = [row.order()[:k] if quotas is None else row.by_kind(quotas)
+    selected = [row.top(k) if quotas is None else row.by_kind(quotas)
                 for row in rows]
     positions = np.concatenate(selected)
     z = np.concatenate([row.zscores()[sel] for row, sel in zip(rows, selected)])

@@ -162,6 +162,15 @@ class TestAsk:
         assert main(["ask", "q", "--config", str(cfg),
                      "--pipeline", "mixture", "--models", "not-there"]) == 1
 
+    @pytest.mark.parametrize("pipeline", ["mixture", "confident"])
+    def test_repeated_model_rejected(self, tmp_path, capsys, pipeline):
+        cfg = write_config(tmp_path)
+        assert main(["ask", "q", "--config", str(cfg), "--pipeline", pipeline,
+                     "--models", "det-a,det-a"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: embedding model 'det-a' is listed more than once\n"
+
     def test_verbose_prints_scores_and_winner(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["ask", "Dara folds 4 cranes per day for 2 days.",
@@ -231,7 +240,8 @@ class TestEval:
     @pytest.mark.parametrize("section,key,value", [
         ("eval", "cdf_sigma", "1"), ("eval", "cdf_sigma", True),
         ("eval", "cdf_sigma", -0.5), ("eval", "cdf_sigma", float("nan")),
-        ("eval", "cdf_sigma", float("inf")),
+        ("eval", "cdf_sigma", float("inf")), ("eval", "cdf_sigma", 100.5),
+        ("eval", "cdf_sigma", 1e7), ("eval", "cdf_sigma", 1e308),
         ("retrieval", "k", 2.5), ("retrieval", "k", "3"), ("retrieval", "k", True),
         ("embedding", "dimension", "8"), ("embedding", "dimension", 0),
         ("embedding", "dimension", 8.0), ("embedding", "dimension", True),
@@ -256,6 +266,14 @@ class TestEval:
         assert main(["eval", "--config", str(cfg)]) == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert [q["id"] for q in report["questions"]] == ["q0", "q1"]
+
+    def test_largest_sigma_accepted(self, tmp_path):
+        cfg = write_config(tmp_path)
+        data = json.loads(cfg.read_text())
+        data["eval"].update(max_questions=2, cdf_sigma=100)
+        cfg.write_text(json.dumps(data))
+        assert main(["eval", "--config", str(cfg)]) == 0
+        assert (tmp_path / "out" / "cdf_dp.csv").exists()
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

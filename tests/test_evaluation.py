@@ -10,6 +10,7 @@ from multirag.embedding import DeterministicProvider
 from multirag.evaluation import (
     QAItem,
     _gaussian_smooth,
+    _json_text,
     aggregate,
     cdf_report,
     empirical_cdf,
@@ -292,6 +293,16 @@ class TestCdf:
         with pytest.raises(ValueError):
             cdf_report([], "dp")
 
+    @pytest.mark.parametrize("sigma", [100.5, 1e7, 1e308, float("inf"), float("nan"), -0.5])
+    def test_sigma_out_of_range_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            cdf_report(self.records([1.0, 2.0]), "self-certainty", sigma=sigma)
+
+    def test_largest_sigma_keeps_the_terminal_one(self):
+        table = cdf_report(self.records([1.0, 2.0, 5.0]), "self-certainty", sigma=100)
+        assert len(table.thresholds) == 101 + 401  # the tail outspans the 400-step radius
+        assert abs(table.smoothed[-1] - 1.0) <= 1e-6
+
     def test_smoothing_sigma_zero_is_raw(self):
         table = cdf_report(self.records([1.0, 2.0, 5.0], metric="gini"),
                            "gini", sigma=0.0)
@@ -326,6 +337,67 @@ class TestCdf:
         table = cdf_report(self.records([0.3, 1.0, 1.2, 2.9, 3.0]), "self-certainty",
                            sigma=1.7)
         assert np.array_equal(table.smoothed, _gaussian_smooth(table.raw, 1.7))
+
+
+def dumps(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+class TestReportWriter:
+    """The report writer emits exactly the text of ``json.dumps(indent=2, sort_keys=True)``."""
+
+    ALPHABET = ["a", "Z", "0", " ", '"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f",
+                "é", "ß", "中", "\u2028", "😀", "\ud800"]
+    FLOATS = [0.0, -0.0, 1.5, -2.25e-300, 1e308, 0.1 + 0.2, float("nan"), float("inf"),
+              float("-inf"), np.float64(0.3), np.float64("nan"), np.float64("-inf")]
+
+    def text(self, rng):
+        return "".join(rng.choice(self.ALPHABET, size=int(rng.integers(0, 6))).tolist())
+
+    def value(self, rng, depth):
+        pick = int(rng.integers(0, 9 if depth < 4 else 6))
+        if pick == 0:
+            return self.text(rng)
+        if pick == 1:
+            return self.FLOATS[int(rng.integers(0, len(self.FLOATS)))]
+        if pick == 2:
+            return [True, False, None][int(rng.integers(0, 3))]
+        if pick == 3:
+            return int(rng.integers(-10**6, 10**6)) * 10**int(rng.integers(0, 30))
+        if pick == 4:
+            return float(rng.normal())
+        if pick == 5:
+            return [{}, [], ()][int(rng.integers(0, 3))]
+        items = [self.value(rng, depth + 1) for _ in range(int(rng.integers(0, 5)))]
+        if pick == 6:
+            return items
+        if pick == 7:
+            return tuple(items)
+        return {self.text(rng): item for item in items}
+
+    def test_random_nested_values(self):
+        rng = np.random.default_rng(51)
+        for _ in range(400):
+            obj = self.value(rng, 0)
+            assert _json_text(obj) == dumps(obj)
+
+    def test_special_values(self):
+        for obj in [*self.FLOATS, True, False, None, {}, [], (), "", 0, -1, 2**70,
+                    {"": [[], {}, ()]}, {"k": {"nested": [None, True, -0.0]}}]:
+            assert _json_text(obj) == dumps(obj)
+
+    def test_sweep_report(self):
+        corpus, config, items = sweep_setup(n_questions=5)
+        results = run_sweep(corpus, items, config,
+                            pipelines=["vanilla", "mixture", "confident"], sizes=[2, 3])
+        report = aggregate(results, items).to_dict()
+        assert _json_text(report) == dumps(report)
+
+    @pytest.mark.parametrize("obj", [{1, 2}, b"x", np.int64(3), np.bool_(True),
+                                     object(), [np.array([1.0])], {"k": {1: "int key"}}])
+    def test_unsupported_types_raise(self, obj):
+        with pytest.raises(TypeError):
+            _json_text(obj)
 
 
 class TestGoldLoader:

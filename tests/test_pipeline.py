@@ -112,6 +112,28 @@ class TestMixture:
             run_mixture("q1", QUESTION, [], corpus, make_config())
 
 
+class Counting(DeterministicProvider):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.embeds = 0
+
+    def embed(self, texts):
+        self.embeds += 1
+        return super().embed(texts)
+
+
+@pytest.mark.parametrize("run", [run_mixture, run_confident])
+def test_repeated_model_rejected_before_any_work(corpus, run):
+    backend = MockBackend(seed=0)
+    config = PipelineConfig(
+        providers=[Counting(m, dim=16) for m in ("det-a", "det-b", "det-c")],
+        backend=backend, template=TEMPLATE)
+    with pytest.raises(ValueError, match="'det-b' is listed more than once"):
+        run("q1", QUESTION, ["det-b", "det-a", "det-b"], corpus, config)
+    assert backend.call_count == 0
+    assert [p.embeds for p in config.providers] == [0, 0, 0]
+
+
 class TestConfident:
     def test_single_model_equals_vanilla(self, corpus):
         config = make_config(seed=13)

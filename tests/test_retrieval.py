@@ -133,6 +133,69 @@ class TestTopK:
             top_k(row({"a": 1.0}), -1)
 
 
+def full_sort_top(values, k):
+    """The selection before partitioning: rank every score, keep a prefix."""
+    return np.argsort(-values, kind="stable")[:k]
+
+
+def full_sort_by_kind(values, kinds, quotas):
+    """The selection before partitioning: the first quota of each kind in the
+    full ranking."""
+    order = np.argsort(-values, kind="stable")
+    labels = np.asarray(kinds)[order]
+    picks = [np.flatnonzero(labels == kind)[:quota] for kind, quota in quotas.items()]
+    return order[np.sort(np.concatenate(picks))]
+
+
+class TestSelectionMatchesFullSort:
+    """``top`` and ``by_kind`` against a stable sort of the whole row, on rows
+    drawn from about 8 distinct values so that most cuts fall inside a tie."""
+
+    @staticmethod
+    def tie_heavy_row(rng, n, kinds):
+        levels = np.array([-0.5, -0.0, 0.0, 0.25, 0.25, 0.5, 0.75, 1.0])
+        values = levels[rng.integers(0, len(levels), size=n)]
+        return SimilarityRow("m", "q", values, ChunkIndex([f"c{i}" for i in range(n)], kinds))
+
+    def test_random_rows(self):
+        rng = np.random.default_rng(21)
+        for trial in range(150):
+            n = int(rng.integers(1, 20_001)) if trial % 10 == 0 else int(rng.integers(1, 60))
+            kinds = np.where(rng.random(n) < 0.9, "qa", "textbook").tolist()
+            r = self.tie_heavy_row(rng, n, kinds)
+            for k in (0, 1, int(rng.integers(0, n + 1)), n, n + 3):
+                assert r.top(k).tolist() == full_sort_top(r.values, k).tolist()
+            quotas = {"qa": int(rng.integers(0, 6)), "textbook": int(rng.integers(0, 3))}
+            want = full_sort_by_kind(r.values, kinds, quotas)
+            assert r.by_kind(quotas).tolist() == want.tolist()
+
+    def test_signed_zeros_tie_by_ingestion_order(self):
+        r = row({"a": 0.0, "b": -0.0, "c": 0.0, "d": -0.0})
+        assert top_k(r, 3) == ["a", "b", "c"]
+        [r] = with_kinds([r], {"a": "qa", "b": "textbook", "c": "qa", "d": "textbook"})
+        assert top_k_by_kind(r, {"textbook": 1, "qa": 1}) == ["a", "b"]
+
+    def test_quota_edges(self):
+        kinds = ["qa"] * 5
+        r = self.tie_heavy_row(np.random.default_rng(22), 5, kinds)
+        for quotas in ({"qa": 0}, {"qa": 9}, {"textbook": 2}, {"qa": 2, "textbook": 2}, {}):
+            want = full_sort_by_kind(r.values, kinds, quotas) if quotas else []
+            assert r.by_kind(quotas).tolist() == list(want)
+        with pytest.raises(ValueError):
+            r.by_kind({"qa": -1})
+
+    def test_write_after_use_refreshes_selection(self):
+        rng = np.random.default_rng(23)
+        kinds = np.where(rng.random(500) < 0.9, "qa", "textbook").tolist()
+        r = self.tie_heavy_row(rng, 500, kinds)
+        quotas = {"qa": 3, "textbook": 1}
+        r.top(4), r.by_kind(quotas)
+        for cid in ("c7", "c499"):
+            r.scores[cid] = 2.0
+            assert r.top(4).tolist() == full_sort_top(r.values, 4).tolist()
+            assert r.by_kind(quotas).tolist() == full_sort_by_kind(r.values, kinds, quotas).tolist()
+
+
 class TestRowCaches:
     def test_write_after_use_refreshes_ranking_selection_and_zscores(self):
         kinds = {"a": "qa", "b": "textbook", "c": "qa", "d": "textbook"}
