@@ -14,8 +14,6 @@ from .confidence import METRICS
 from .corpus import Corpus
 from .errors import MultiragError, StageError
 
-log = logging.getLogger("multirag")
-
 
 def _parse_quota(pair: str) -> tuple[str, int]:
     """argparse ``type`` for one ``--quota KIND=COUNT``."""

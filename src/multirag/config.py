@@ -135,7 +135,15 @@ def _validate(data: dict) -> None:
     emb = data["embedding"]
     if emb["mode"] not in ("deterministic", "remote"):
         raise ConfigError(f"embedding.mode {emb['mode']!r} must be deterministic|remote")
-    if not emb["models"] or len(set(emb["models"])) != len(emb["models"]):
+    models = emb["models"]
+    if not isinstance(models, list) or not models:
+        raise ConfigError("embedding.models must be a non-empty list of unique ids")
+    for mid in models:
+        # "" is the bare LLM's tag, and report keys join model ids with commas
+        if not isinstance(mid, str) or not mid or "," in mid:
+            raise ConfigError(
+                f"embedding.models must be non-empty strings without commas, not {mid!r}")
+    if len(set(models)) != len(models):
         raise ConfigError("embedding.models must be a non-empty list of unique ids")
     if not _is_int(emb["dimension"]) or emb["dimension"] < 1:
         raise ConfigError("embedding.dimension must be a positive integer")
@@ -208,8 +216,12 @@ def default_template_text() -> str:
 
 def build_template(cfg: RunConfig) -> PromptTemplate:
     path = cfg["retrieval"]["template_path"]
-    text = Path(path).read_text(encoding="utf-8") if path else default_template_text()
-    return PromptTemplate(text=text)
+    if not path:
+        return PromptTemplate(text=default_template_text())
+    try:
+        return PromptTemplate(text=Path(path).read_text(encoding="utf-8"))
+    except OSError as e:
+        raise ConfigError(f"retrieval.template_path {path!r} cannot be read: {e}") from e
 
 
 def build_providers(cfg: RunConfig) -> list:

@@ -202,6 +202,31 @@ def _json_value(line: str):
     return json.loads(line)  # surrounding whitespace, or the error json.loads reports
 
 
+def read_text(path: Path) -> str:
+    """A UTF-8 file's text; a file that cannot be read is malformed at line 0."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as e:
+        raise MalformedLineError(str(path), 0, f"unreadable file: {e}") from e
+
+
+def read_jsonl(path: Path):
+    """Yield ``(line number, value)`` for each non-blank line of a JSONL file.
+
+    Lines end at "\n" only (``read_text`` turns "\r\n" into it): U+0085,
+    U+2028 and U+2029 may stand raw inside a JSON string, and
+    ``str.splitlines`` would cut the line there.
+    """
+    for line_no, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            value = _json_value(line)
+        except json.JSONDecodeError as e:
+            raise MalformedLineError(str(path), line_no, f"invalid JSON: {e.msg}") from e
+        yield line_no, value
+
+
 class Corpus:
     """Ordered, immutable-after-ingestion chunk store, held as columns.
 
@@ -301,31 +326,21 @@ class Corpus:
         path = Path(path)
         if kind not in KINDS:
             raise ValueError(f"unknown chunk kind {kind!r}")
-        try:
-            raw = path.read_text(encoding="utf-8")
-        except OSError as e:
-            raise MalformedLineError(str(path), 0, f"unreadable file: {e}") from e
-
         if path.suffix.lower() == ".jsonl":
-            columns = self._parse_jsonl(str(path), raw, kind)
+            columns = self._parse_jsonl(path, kind)
         else:
-            columns = self._parse_plain(raw, kind, source=str(path))
+            columns = self._parse_plain(read_text(path), kind, source=str(path))
         self._append(*columns)
         return len(columns[0])
 
-    def _parse_jsonl(self, path: str, raw: str, default_kind: str) -> tuple[list[str], ...]:
+    def _parse_jsonl(self, file: Path, default_kind: str) -> tuple[list[str], ...]:
+        path = str(file)
         ids: list[str] = []
         texts: list[str] = []
         kinds: list[str] = []
         sources: list[str] = []
         assigned: set[str] = set()
-        for line_no, line in enumerate(raw.splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = _json_value(line)
-            except json.JSONDecodeError as e:
-                raise MalformedLineError(path, line_no, f"invalid JSON: {e.msg}") from e
+        for line_no, obj in read_jsonl(file):
             if not isinstance(obj, dict):
                 raise MalformedLineError(path, line_no, "expected a JSON object")
             text = obj.get("text")

@@ -6,22 +6,20 @@ numeric literal in the completion; two numbers match within 1e-6
 relative tolerance, anything else falls back to exact string match.
 
 The sweep runs, per question: one bare-LLM generation (k = 0), one
-vanilla run per embedding model, and one mixture run per model
-combination. Each (question, model) similarity row is scored once and
-shared by that question's vanilla and mixture runs, together with its
-cached ranking, per-kind selection and Z-scores. Confident results reuse
-the per-model vanilla records — decode seeds depend only on (master
-seed, question, model), so a fresh ``run_confident`` would produce
-byte-identical records; both equivalences are covered by tests.
+vanilla run per embedding model, and one mixture run and one confident
+run per model combination. All of a question's flows share one memo:
+each (question, model) similarity row is scored once, with its cached
+ranking, per-kind selection and Z-scores, and each model's vanilla answer
+is generated once. So every confident run picks among the question's
+vanilla records without generating again, through the same
+``pipeline.run_confident`` that ``ask`` runs.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import combinations
 from json.encoder import encode_basestring_ascii as _quote
@@ -30,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import confidence, pipeline
-from .corpus import Corpus
+from .corpus import Corpus, read_jsonl
 from .errors import MalformedLineError
 from .generation import GenerationRecord
 from .pipeline import PipelineConfig, QuestionResult
@@ -54,21 +52,20 @@ class QAItem:
 def load_gold(path: str | Path) -> list[QAItem]:
     """Read a JSONL gold file: one {"id", "question", "answer"} per line.
 
-    Ids must be unique: the report keys each question by its id.
+    An id is a non-empty string or an integer, an answer a string or a
+    number. Ids must be unique: the report keys each question by its id.
     """
     items = []
     seen: set[str] = set()
     path = Path(path)
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
+    for line_no, obj in read_jsonl(path):
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise MalformedLineError(str(path), line_no, f"invalid JSON: {e.msg}") from e
-        try:
-            item = QAItem(id=str(obj["id"]), question=obj["question"],
-                          answer=str(obj["answer"]))
+            qid, answer = obj["id"], obj["answer"]
+            if isinstance(qid, bool) or not isinstance(qid, (str, int)) or qid == "":
+                raise ValueError(f"gold id {qid!r} must be a non-empty string or an integer")
+            if isinstance(answer, bool) or not isinstance(answer, (str, int, float)):
+                raise ValueError(f"gold answer for {qid!r} must be a string or a number")
+            item = QAItem(id=str(qid), question=obj["question"], answer=str(answer))
         except (KeyError, TypeError, ValueError) as e:
             raise MalformedLineError(str(path), line_no, str(e)) from e
         if item.id in seen:
@@ -134,45 +131,35 @@ def run_sweep(corpus: Corpus, items: list[QAItem], config: PipelineConfig,
               include_vanilla_llm: bool = True) -> list[QuestionResult]:
     """Run the configured pipelines over every question; returns flat results.
 
-    Every question scores each embedding model's similarity row once and
-    hands it to all of that question's vanilla and mixture runs.
+    The flows on one question share one memo (see ``pipeline.run_vanilla``),
+    so each model's similarity row is scored, and its vanilla answer
+    generated, once per question.
     """
-    model_ids = config.model_ids
-    combos = model_combinations(model_ids, sizes)
+    combos = [list(c) for c in model_combinations(config.model_ids, sizes)]
     bare_config = replace(config, k=0)
 
     def one_question(item: QAItem) -> list[QuestionResult]:
         out: list[QuestionResult] = []
-        rows: dict = {}  # model id -> this question's similarity row
+        memo: dict = {}
         if include_vanilla_llm:
             res = pipeline.run_vanilla(item.id, item.question, "", corpus, bare_config)
             res.pipeline = "vanilla-llm"
             out.append(res)
-        by_model: dict[str, QuestionResult] = {}
-        need_vanilla = "vanilla" in pipelines or "confident" in pipelines
-        if need_vanilla:
-            for mid in model_ids:
-                by_model[mid] = pipeline.run_vanilla(
-                    item.id, item.question, mid, corpus, config, rows=rows)
+        if "vanilla" in pipelines or "confident" in pipelines:
+            # run before any confident flow, so that a failed generation
+            # aborts the eval instead of being dropped from a combination
+            vanilla = [pipeline.run_vanilla(item.id, item.question, mid, corpus,
+                                            config, memo) for mid in config.model_ids]
             if "vanilla" in pipelines:
-                out.extend(by_model.values())
-        if "mixture" in pipelines:
-            for combo in combos:
-                out.append(pipeline.run_mixture(
-                    item.id, item.question, list(combo), corpus, config, rows=rows))
-        if "confident" in pipelines:
-            for combo in combos:
-                records = [by_model[mid].records[0] for mid in combo]
-                retrieved = {mid: by_model[mid].retrieved[mid] for mid in combo}
-                out.append(pipeline.confident_from_records(
-                    item.id, records, config.metric, retrieved=retrieved))
+                out.extend(vanilla)
+        for name, flow in (("mixture", pipeline.run_mixture),
+                           ("confident", pipeline.run_confident)):
+            if name in pipelines:
+                out.extend(flow(item.id, item.question, combo, corpus, config, memo)
+                           for combo in combos)
         return out
 
-    if config.concurrency > 1:
-        with ThreadPoolExecutor(max_workers=config.concurrency) as ex:
-            per_question = list(ex.map(one_question, items))
-    else:
-        per_question = [one_question(item) for item in items]
+    per_question = pipeline.map_concurrent(one_question, items, config.concurrency)
     return [res for batch in per_question for res in batch]
 
 

@@ -14,7 +14,6 @@ distributions.
 from __future__ import annotations
 
 import hashlib
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -22,8 +21,6 @@ import numpy as np
 
 from . import transport
 from .errors import EmptyCompletionError, LogprobsMissingError
-
-log = logging.getLogger(__name__)
 
 _SUM_TOL = 1e-6
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from . import confidence, retrieval
 from .corpus import Corpus
 from .errors import StageError
-from .generation import DecodeParams, GenerationRecord, derive_seed, generate
+from .generation import DecodeParams, derive_seed, generate
 from .retrieval import PromptTemplate
 
 log = logging.getLogger(__name__)
@@ -76,44 +76,57 @@ def _stage(name: str, fn, *args, **kwargs):
         raise StageError(name, e) from e
 
 
+def map_concurrent(fn, items: list, concurrency: int) -> list:
+    """``[fn(x) for x in items]``, on up to ``concurrency`` threads when above 1."""
+    if concurrency > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=min(concurrency, len(items))) as ex:
+            return list(ex.map(fn, items))
+    return [fn(x) for x in items]
+
+
 def _row(question_id: str, question: str, model_id: str, corpus: Corpus,
-         config: PipelineConfig, rows: dict | None):
-    """The question's similarity row for one model, scored once per ``rows``."""
-    row = rows.get(model_id) if rows is not None else None
+         config: PipelineConfig, memo: dict | None):
+    """The question's similarity row for one model, scored once per ``memo``."""
+    row = memo.get(("row", model_id)) if memo is not None else None
     if row is None:
         row = _stage("retrieval", lambda: retrieval.score_all(
             config.provider(model_id), question, corpus, question_id=question_id))
-        if rows is not None:
-            rows[model_id] = row
+        if memo is not None:
+            memo[("row", model_id)] = row
     return row
 
 
 def run_vanilla(question_id: str, question: str, model_id: str,
                 corpus: Corpus, config: PipelineConfig,
-                rows: dict | None = None) -> QuestionResult:
+                memo: dict | None = None) -> QuestionResult:
     """Single-model RAG; k = 0 degenerates to the bare-question LLM.
 
-    ``rows`` (model id -> similarity row of this question) supplies rows
-    already scored and receives the ones scored here, so callers running
-    several flows on one question score each model once.
+    ``memo`` is one question's scratch dict, shared by the flows run on
+    that question under one config: it keeps each model's similarity row
+    and vanilla result, so each is computed once however many flows ask.
     """
+    if memo is not None and ("vanilla", model_id) in memo:
+        return memo[("vanilla", model_id)]
     if config.k == 0:
         ids = []
     else:
-        row = _row(question_id, question, model_id, corpus, config, rows)
+        row = _row(question_id, question, model_id, corpus, config, memo)
         if config.quotas:
             ids = retrieval.top_k_by_kind(row, config.quotas)
         else:
             ids = retrieval.top_k(row, config.k)
-    return _answer(question_id, question, "vanilla", model_id, ids, corpus, config)
+    result = _answer(question_id, question, "vanilla", model_id, ids, corpus, config)
+    if memo is not None:
+        memo[("vanilla", model_id)] = result
+    return result
 
 
 def run_mixture(question_id: str, question: str, model_ids: list[str],
                 corpus: Corpus, config: PipelineConfig,
-                rows: dict | None = None) -> QuestionResult:
+                memo: dict | None = None) -> QuestionResult:
     """Fused multi-model retrieval feeding a single generation.
 
-    ``rows`` is shared with other flows on the same question as in
+    ``memo`` is shared with other flows on the same question as in
     ``run_vanilla``.
     """
     if not model_ids:
@@ -121,7 +134,7 @@ def run_mixture(question_id: str, question: str, model_ids: list[str],
     _reject_repeats(model_ids)
     combo = ",".join(model_ids)
     if config.k > 0:
-        fused_rows = [_row(question_id, question, mid, corpus, config, rows)
+        fused_rows = [_row(question_id, question, mid, corpus, config, memo)
                       for mid in model_ids]
         candidates = _stage("fusion", retrieval.fuse, fused_rows, config.k,
                             quotas=config.quotas or None)
@@ -162,11 +175,14 @@ def _answer(question_id: str, question: str, pipeline: str, tag: str,
 
 
 def run_confident(question_id: str, question: str, model_ids: list[str],
-                  corpus: Corpus, config: PipelineConfig) -> QuestionResult:
+                  corpus: Corpus, config: PipelineConfig,
+                  memo: dict | None = None) -> QuestionResult:
     """One vanilla run per model; the highest-confidence answer wins.
 
     A single failed generation is dropped (with a log line) instead of
-    sinking the whole question; at least one run must survive.
+    sinking the whole question; at least one run must survive. Runs found
+    in ``memo`` (see ``run_vanilla``) are reused, and threads start only
+    when more than one run is left to do.
     """
     if not model_ids:
         raise ValueError("confident requires at least one model")
@@ -175,32 +191,21 @@ def run_confident(question_id: str, question: str, model_ids: list[str],
 
     def one(mid: str):
         try:
-            return run_vanilla(question_id, question, mid, corpus, config)
+            return run_vanilla(question_id, question, mid, corpus, config, memo)
         except StageError as e:
             log.warning("dropping model %s for question %s: %s", mid, question_id, e)
             return e
 
-    if config.concurrency > 1 and len(ordered) > 1:
-        with ThreadPoolExecutor(max_workers=min(config.concurrency, len(ordered))) as ex:
-            outcomes = list(ex.map(one, ordered))
-    else:
-        outcomes = [one(mid) for mid in ordered]
-
+    fresh = [mid for mid in ordered if memo is None or ("vanilla", mid) not in memo]
+    outcomes = map_concurrent(one, ordered, config.concurrency if len(fresh) > 1 else 1)
     survivors = [(mid, r) for mid, r in zip(ordered, outcomes)
                  if isinstance(r, QuestionResult)]
     if not survivors:
         raise StageError("confident", outcomes[0])
 
-    return confident_from_records(
-        question_id, [r.records[0] for _, r in survivors], config.metric,
-        {mid: r.retrieved[mid] for mid, r in survivors})
-
-
-def confident_from_records(question_id: str, records: list[GenerationRecord],
-                           metric: str,
-                           retrieved: dict[str, list[str]]) -> QuestionResult:
-    """Assemble a confident-mode result from already-scored vanilla records."""
-    winner, index = confidence.select_most_confident(records, metric)
+    records = [r.records[0] for _, r in survivors]
+    winner, index = confidence.select_most_confident(records, config.metric)
     return QuestionResult(
         question_id=question_id, pipeline="confident", answer=winner.completion,
-        winner_index=index, records=records, retrieved=retrieved)
+        winner_index=index, records=records,
+        retrieved={mid: r.retrieved[mid] for mid, r in survivors})

@@ -152,6 +152,13 @@ class TestAsk:
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["quotas"] == {"qa": 1, "textbook": 1}
 
+    def test_missing_template_is_a_config_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.txt"
+        cfg = write_config(tmp_path, retrieval={"k": 2, "template_path": str(missing)})
+        assert main(["ask", "How many?", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: retrieval.template_path {str(missing)!r} cannot be read")
+
     def test_vanilla_needs_single_model(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["ask", "q", "--config", str(cfg),
@@ -237,6 +244,12 @@ class TestEval:
         cfg = write_config(tmp_path, gold_path=None)
         assert main(["eval", "--config", str(cfg)]) == 1
 
+    def test_missing_gold_file_is_an_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, gold_path=str(tmp_path / "missing.jsonl"))
+        assert main(["eval", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing.jsonl:0: unreadable file" in err
+
     @pytest.mark.parametrize("section,key,value", [
         ("eval", "cdf_sigma", "1"), ("eval", "cdf_sigma", True),
         ("eval", "cdf_sigma", -0.5), ("eval", "cdf_sigma", float("nan")),
@@ -247,6 +260,9 @@ class TestEval:
         ("embedding", "dimension", 8.0), ("embedding", "dimension", True),
         ("eval", "max_questions", -1), ("eval", "max_questions", 0),
         ("eval", "max_questions", 2.5), ("eval", "max_questions", True),
+        ("embedding", "models", [""]), ("embedding", "models", ["a,b", "c", "d"]),
+        ("embedding", "models", "abc"), ("embedding", "models", [["a"], "b"]),
+        ("embedding", "models", ["a", "b", "a"]),
     ])
     def test_bad_number_rejected_before_any_work(self, tmp_path, capsys,
                                                  section, key, value):

@@ -87,6 +87,17 @@ def test_unreadable_file(tmp_path):
         Corpus().ingest(tmp_path / "missing.jsonl", kind="qa")
 
 
+@pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\u0085"])
+def test_jsonl_lines_end_at_newline_only(tmp_path, sep):
+    text = f"one line{sep}still the same line"
+    path = tmp_path / "c.jsonl"
+    path.write_text(json.dumps({"id": "a", "text": text}, ensure_ascii=False) + "\n"
+                    + json.dumps({"id": "b", "text": "two"}) + "\n", encoding="utf-8")
+    corpus = Corpus()
+    assert corpus.ingest(path, kind="qa") == 2
+    assert corpus.get("a").text == text
+
+
 def test_get_round_trip(tmp_path):
     text = "x é café  \n two lines"
     path = write_jsonl(tmp_path / "c.jsonl", [
@@ -240,7 +251,7 @@ class ReferenceCorpus:
     def parse_jsonl(self, path: str, raw: str, default_kind: str) -> list[Chunk]:
         chunks: list[Chunk] = []
         assigned: set[str] = set()
-        for line_no, line in enumerate(raw.splitlines(), start=1):
+        for line_no, line in enumerate(raw.split("\n"), start=1):
             if not line.strip():
                 continue
             try:

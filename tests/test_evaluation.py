@@ -24,7 +24,8 @@ from multirag.evaluation import (
     vanilla_records_with_correctness,
     write_report_files,
 )
-from multirag.generation import DecodeParams, GenerationRecord, MockBackend
+from multirag.errors import MalformedLineError, StageError
+from multirag.generation import DecodeParams, GenerationRecord, MockBackend, derive_seed
 from multirag.pipeline import (
     PipelineConfig,
     QuestionResult,
@@ -160,15 +161,46 @@ class TestSweep:
     def test_confident_reuse_equals_fresh_run(self):
         corpus, config, items = sweep_setup(n_questions=2)
         results = run_sweep(corpus, items, config,
-                            pipelines=["vanilla", "confident"], sizes=[2])
-        fresh = run_confident(items[0].id, items[0].question,
-                              ["det-a", "det-b"], corpus, config)
-        reused = [r for r in results
-                  if r.pipeline == "confident" and r.question_id == items[0].id
-                  and [rec.embedding_model for rec in r.records] == ["det-a", "det-b"]]
-        assert len(reused) == 1
-        assert reused[0].answer == fresh.answer
-        assert reused[0].winner_index == fresh.winner_index
+                            pipelines=["vanilla", "confident"], sizes=[1, 2, 3])
+        reused = [r for r in results if r.pipeline == "confident"]
+        combos = model_combinations(config.model_ids, [1, 2, 3])
+        assert len(reused) == len(items) * len(combos)
+        for res, (item, combo) in zip(reused, [(i, c) for i in items for c in combos]):
+            fresh = run_confident(item.id, item.question, list(combo), corpus, config)
+            assert res.question_id == item.id
+            assert res.answer == fresh.answer
+            assert res.winner_index == fresh.winner_index
+            assert res.retrieved == fresh.retrieved
+            assert [r.embedding_model for r in res.records] == list(combo)
+            for got, want in zip(res.records, fresh.records, strict=True):
+                assert got.completion == want.completion
+                assert got.steps == want.steps
+
+    @pytest.mark.parametrize("pipelines", [["confident"], ["vanilla", "mixture", "confident"]])
+    def test_failed_generation_aborts_the_sweep(self, pipelines):
+        # run_confident alone would drop the failed model; the sweep must not
+        corpus, config, items = sweep_setup(n_questions=3)
+        bad_seed = derive_seed(config.seed, "gen", items[1].id, "det-b")
+
+        class FailOne(MockBackend):
+            def complete(self, prompt, params):
+                if params.seed == bad_seed:
+                    raise RuntimeError("backend down")
+                return super().complete(prompt, params)
+
+        config.backend = FailOne(seed=0)
+        with pytest.raises(StageError) as exc:
+            run_sweep(corpus, items, config, pipelines=pipelines, sizes=[2, 3])
+        assert exc.value.stage == "generation"
+
+    def test_one_generation_per_question_and_flow(self):
+        models = ("det-a", "det-b", "det-c", "det-d")
+        corpus, config, items = sweep_setup(n_questions=3, models=models)
+        run_sweep(corpus, items, config,
+                  pipelines=["vanilla", "mixture", "confident"], sizes=[2, 3, 4])
+        combos = model_combinations(config.model_ids, [2, 3, 4])
+        assert 1 + len(models) + len(combos) == 16
+        assert config.backend.call_count == len(items) * 16
 
     def test_concurrency_is_result_invariant(self):
         corpus, config, items = sweep_setup(n_questions=4)
@@ -410,7 +442,6 @@ class TestGoldLoader:
     def test_bad_line(self, tmp_path):
         path = tmp_path / "gold.jsonl"
         path.write_text("{}\n")
-        from multirag.errors import MalformedLineError
         with pytest.raises(MalformedLineError):
             load_gold(path)
 
@@ -420,7 +451,6 @@ class TestGoldLoader:
                 {"id": "q0", "question": "Two?", "answer": "2"},
                 {"id": "q1", "question": "Three?", "answer": "3"}]
         path.write_text("".join(json.dumps(r) + "\n" for r in rows))
-        from multirag.errors import MalformedLineError
         with pytest.raises(MalformedLineError) as exc:
             load_gold(path)
         assert exc.value.line_no == 2
@@ -431,11 +461,49 @@ class TestGoldLoader:
         path = tmp_path / "gold.jsonl"
         path.write_text(json.dumps({"id": "q1", "question": "?", "answer": "3"}) + "\n"
                         + json.dumps({"id": "q2", "question": question, "answer": "4"}) + "\n")
-        from multirag.errors import MalformedLineError
         with pytest.raises(MalformedLineError) as exc:
             load_gold(path)
         assert exc.value.line_no == 2
         assert "gold question for 'q2' must be a non-empty string" in str(exc.value)
+
+    @pytest.mark.parametrize("field,value", [
+        ("answer", None), ("answer", True), ("answer", False), ("answer", ["3"]),
+        ("answer", {"v": 3}), ("id", None), ("id", True), ("id", ""), ("id", 1.5),
+        ("id", ["q2"]), ("id", {"q": 2}),
+    ])
+    def test_id_and_answer_must_have_meaningful_types(self, tmp_path, field, value):
+        path = tmp_path / "gold.jsonl"
+        row = {"id": "q2", "question": "Two?", "answer": "4", field: value}
+        path.write_text(json.dumps({"id": "q1", "question": "?", "answer": "3"}) + "\n"
+                        + json.dumps(row) + "\n")
+        with pytest.raises(MalformedLineError) as exc:
+            load_gold(path)
+        assert exc.value.line_no == 2
+        rule = ("must be a non-empty string or an integer" if field == "id"
+                else "gold answer for 'q2' must be a string or a number")
+        assert rule in str(exc.value)
+
+    def test_integer_id_and_numeric_answers(self, tmp_path):
+        path = tmp_path / "gold.jsonl"
+        rows = [{"id": 7, "question": "Seven?", "answer": 7},
+                {"id": "q8", "question": "Half?", "answer": 0.5}]
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        assert load_gold(path) == [QAItem(id="7", question="Seven?", answer="7"),
+                                   QAItem(id="q8", question="Half?", answer="0.5")]
+
+    @pytest.mark.parametrize("sep", ["\u0085", "\u2028", "\u2029"])
+    def test_lines_end_at_newline_only(self, tmp_path, sep):
+        path = tmp_path / "gold.jsonl"
+        question = f"How many stones?{sep}Count them all."
+        path.write_text(json.dumps({"id": "q1", "question": question, "answer": "3"},
+                                   ensure_ascii=False) + "\n", encoding="utf-8")
+        assert load_gold(path) == [QAItem(id="q1", question=question, answer="3")]
+
+    def test_missing_file_is_unreadable(self, tmp_path):
+        with pytest.raises(MalformedLineError) as exc:
+            load_gold(tmp_path / "missing.jsonl")
+        assert exc.value.line_no == 0
+        assert "unreadable file" in str(exc.value)
 
 
 class TestRenderTables:

@@ -1,5 +1,6 @@
 import pytest
 
+from multirag import pipeline
 from multirag.confidence import LOWER_IS_CONFIDENT
 from multirag.embedding import DeterministicProvider
 from multirag.errors import StageError
@@ -198,6 +199,21 @@ class TestConfident:
         assert seq.answer == par.answer
         assert [r.completion for r in seq.records] == \
             [r.completion for r in par.records]
+
+    def test_memoized_runs_are_reused_without_threads(self, corpus, monkeypatch):
+        backend = MockBackend(seed=29)
+        config = make_config(backend=backend, concurrency=4)
+        memo: dict = {}
+        runs = [run_vanilla("q1", QUESTION, mid, corpus, config, memo)
+                for mid in ("det-a", "det-b", "det-c")]
+
+        def no_threads(*args, **kwargs):
+            raise AssertionError("a memoized run started a thread pool")
+
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", no_threads)
+        res = run_confident("q1", QUESTION, ["det-c", "det-a", "det-b"], corpus, config, memo)
+        assert backend.call_count == 3
+        assert [id(r) for r in res.records] == [id(r.records[0]) for r in runs]
 
     def test_unknown_model_is_stage_annotated(self, corpus):
         with pytest.raises(StageError):
