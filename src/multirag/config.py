@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -131,6 +132,14 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _int_at_least(value, low: int) -> bool:
+    return _is_int(value) and value >= low
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _validate(data: dict) -> None:
     emb = data["embedding"]
     if emb["mode"] not in ("deterministic", "remote"):
@@ -145,8 +154,9 @@ def _validate(data: dict) -> None:
                 f"embedding.models must be non-empty strings without commas, not {mid!r}")
     if len(set(models)) != len(models):
         raise ConfigError("embedding.models must be a non-empty list of unique ids")
-    if not _is_int(emb["dimension"]) or emb["dimension"] < 1:
-        raise ConfigError("embedding.dimension must be a positive integer")
+    for key in ("dimension", "batch_size"):
+        if not _int_at_least(emb[key], 1):
+            raise ConfigError(f"embedding.{key} must be a positive integer")
     if emb["mode"] == "remote" and not emb["endpoint"]:
         raise ConfigError("embedding.endpoint is required in remote mode")
 
@@ -156,53 +166,76 @@ def _validate(data: dict) -> None:
     if backend["mode"] == "remote":
         if not backend["endpoint"]:
             raise ConfigError("backend.endpoint is required in remote mode")
-        if not backend["vocab_size"]:
+        if backend["vocab_size"] is None:
             raise ConfigError("backend.vocab_size is required in remote mode "
                               "(the provider does not report it)")
+    if backend["vocab_size"] is not None and not _int_at_least(backend["vocab_size"], 1):
+        raise ConfigError("backend.vocab_size must be a positive integer")
+    if not _int_at_least(backend["max_tokens"], 1):
+        raise ConfigError("backend.max_tokens must be a positive integer")
+    if not _int_at_least(backend["top_logprobs"], 0):
+        raise ConfigError("backend.top_logprobs must be an integer >= 0")
+    temperature = backend["temperature"]
+    if not _is_number(temperature) or not 0 <= temperature < math.inf:
+        raise ConfigError("backend.temperature must be a finite number >= 0")
 
     if data["confidence"]["metric"] not in METRICS:
         raise ConfigError(f"confidence.metric must be one of {METRICS}")
 
     retr = data["retrieval"]
-    if not _is_int(retr["k"]) or retr["k"] < 0:
+    if not _int_at_least(retr["k"], 0):
         raise ConfigError("retrieval.k must be an integer >= 0")
     if retr["quotas"] is not None:
+        if not isinstance(retr["quotas"], dict):
+            raise ConfigError("retrieval.quotas must be an object or null")
         for kind, count in retr["quotas"].items():
             if kind not in KINDS:
                 raise ConfigError(f"retrieval.quotas: unknown kind {kind!r}")
-            if not _is_int(count) or count < 0:
+            if not _int_at_least(count, 0):
                 raise ConfigError(f"retrieval.quotas[{kind!r}] must be a count")
+    if retr["template_path"] is not None and not isinstance(retr["template_path"], str):
+        raise ConfigError("retrieval.template_path must be null or a string")
 
     ev = data["eval"]
+    for key in ("pipelines", "combination_sizes"):
+        if not isinstance(ev[key], list):
+            raise ConfigError(f"eval.{key} must be a list")
+    if not isinstance(ev["include_vanilla_llm"], bool):
+        raise ConfigError("eval.include_vanilla_llm must be true or false")
     for p in ev["pipelines"]:
         if p not in PIPELINES:
             raise ConfigError(f"eval.pipelines: unknown pipeline {p!r}")
     for n in ev["combination_sizes"]:
-        if not _is_int(n) or n < 1:
+        if not _int_at_least(n, 1):
             raise ConfigError("eval.combination_sizes must be positive integers")
         if n > len(emb["models"]):
             raise ConfigError(
                 f"combination size {n} exceeds the {len(emb['models'])} configured models")
     limit = ev["max_questions"]
-    if limit is not None and (not _is_int(limit) or limit < 1):
+    if limit is not None and not _int_at_least(limit, 1):
         raise ConfigError("eval.max_questions must be null or a positive integer")
     sigma = ev["cdf_sigma"]
-    if (isinstance(sigma, bool) or not isinstance(sigma, (int, float))
-            or not 0 <= sigma <= MAX_CDF_SIGMA):
+    if not _is_number(sigma) or not 0 <= sigma <= MAX_CDF_SIGMA:
         raise ConfigError(f"eval.cdf_sigma must be a number in [0, {MAX_CDF_SIGMA:g}]")
 
+    if not isinstance(data["corpus"], list):
+        raise ConfigError("corpus must be a list")
     for entry in data["corpus"]:
         if not isinstance(entry, dict) or set(entry) - {"path", "kind"}:
             raise ConfigError("corpus entries must be {'path', 'kind'} objects")
         if entry.get("kind", "qa") not in KINDS:
             raise ConfigError(f"corpus entry kind {entry.get('kind')!r} unknown")
-        if not entry.get("path"):
-            raise ConfigError("corpus entry missing 'path'")
+        if not isinstance(entry.get("path"), str) or not entry["path"]:
+            raise ConfigError("corpus entry 'path' must be a non-empty string")
 
     if not _is_int(data["seed"]):
         raise ConfigError("seed must be an integer")
-    if not _is_int(data["concurrency"]) or data["concurrency"] < 1:
+    if not _int_at_least(data["concurrency"], 1):
         raise ConfigError("concurrency must be a positive integer")
+    if not isinstance(data["output_dir"], str) or not data["output_dir"]:
+        raise ConfigError("output_dir must be a non-empty string")
+    if data["gold_path"] is not None and not isinstance(data["gold_path"], str):
+        raise ConfigError("gold_path must be null or a string")
 
 
 # ---------------------------------------------------------------------------

@@ -53,20 +53,28 @@ def load_gold(path: str | Path) -> list[QAItem]:
     """Read a JSONL gold file: one {"id", "question", "answer"} per line.
 
     An id is a non-empty string or an integer, an answer a string or a
-    number. Ids must be unique: the report keys each question by its id.
+    finite number: no completion can match NaN or infinity. Ids must be
+    unique: the report keys each question by its id.
     """
     items = []
     seen: set[str] = set()
     path = Path(path)
     for line_no, obj in read_jsonl(path):
+        if not isinstance(obj, dict):
+            raise MalformedLineError(str(path), line_no, "expected a JSON object")
+        for key in ("id", "question", "answer"):
+            if key not in obj:
+                raise MalformedLineError(str(path), line_no, f"missing {key!r}")
         try:
             qid, answer = obj["id"], obj["answer"]
             if isinstance(qid, bool) or not isinstance(qid, (str, int)) or qid == "":
                 raise ValueError(f"gold id {qid!r} must be a non-empty string or an integer")
-            if isinstance(answer, bool) or not isinstance(answer, (str, int, float)):
-                raise ValueError(f"gold answer for {qid!r} must be a string or a number")
+            if (isinstance(answer, bool) or not isinstance(answer, (str, int, float))
+                    or isinstance(answer, float) and not math.isfinite(answer)):
+                raise ValueError(
+                    f"gold answer for {qid!r} must be a string or a number, not {answer!r}")
             item = QAItem(id=str(qid), question=obj["question"], answer=str(answer))
-        except (KeyError, TypeError, ValueError) as e:
+        except ValueError as e:
             raise MalformedLineError(str(path), line_no, str(e)) from e
         if item.id in seen:
             raise MalformedLineError(str(path), line_no, f"duplicate gold id {item.id!r}")
@@ -198,84 +206,67 @@ def _mean(values) -> float:
 
 
 def aggregate(results: list[QuestionResult], gold: list[QAItem]) -> AccuracyReport:
-    """Accuracy per (pipeline, combination, metric) cell plus baseline deltas."""
+    """Accuracy per (pipeline, combination, metric) cell plus baseline deltas.
+
+    Every cell is computed from the per-question detail: each result is
+    graded once into its question's entry, and each accuracy is the mean of
+    that cell's ``correct`` flags over the questions that hold it.
+    """
     by_id = {item.id: item for item in gold}
-    for res in results:
-        if res.question_id not in by_id:
-            raise ValueError(f"no gold item for question {res.question_id!r}")
-
-    llm_flags: dict[str, bool] = {}
-    vanilla_flags: dict[str, dict[str, bool]] = {}
-    mixture_flags: dict[str, dict[str, bool]] = {}
-    confident_results: dict[str, dict[str, QuestionResult]] = {}
     detail: dict[str, dict] = {}
-
     for res in results:
-        item = by_id[res.question_id]
+        item = by_id.get(res.question_id)
+        if item is None:
+            raise ValueError(f"no gold item for question {res.question_id!r}")
         q = detail.setdefault(res.question_id, {
             "id": res.question_id, "gold": gold_value(item),
             "vanilla_llm": None, "vanilla": {}, "mixture": {}, "confident": {}})
-        correct = grade(res.answer, item)
+        if res.pipeline == "confident":
+            q["confident"][_combo_tag(res)] = {
+                metric: _winner_detail(res.records, metric, item)
+                for metric in confidence.METRICS}
+            continue
+        cell = _record_detail(res.records[0], grade(res.answer, item))
         if res.pipeline == "vanilla-llm":
-            llm_flags[res.question_id] = correct
-            q["vanilla_llm"] = _record_detail(res.records[0], correct)
+            q["vanilla_llm"] = cell
         elif res.pipeline == "vanilla":
-            mid = res.records[0].embedding_model
-            vanilla_flags.setdefault(mid, {})[res.question_id] = correct
-            q["vanilla"][mid] = _record_detail(res.records[0], correct)
+            q["vanilla"][res.records[0].embedding_model] = cell
         elif res.pipeline == "mixture":
-            tag = _combo_tag(res)
-            mixture_flags.setdefault(tag, {})[res.question_id] = correct
-            q["mixture"][tag] = _record_detail(res.records[0], correct)
-        elif res.pipeline == "confident":
-            tag = _combo_tag(res)
-            confident_results.setdefault(tag, {})[res.question_id] = res
+            q["mixture"][_combo_tag(res)] = cell
         else:
             raise ValueError(f"unknown pipeline tag {res.pipeline!r}")
 
-    llm_acc = _mean(llm_flags.values()) if llm_flags else None
-
-    vanilla_section = None
-    rag_baseline = None
-    if vanilla_flags:
-        per_model = {mid: _mean(flags.values()) for mid, flags in vanilla_flags.items()}
+    questions = [detail[qid] for qid in sorted(detail)]
+    llm_acc = _accuracy(("", q["vanilla_llm"]) for q in questions
+                        if q["vanilla_llm"] is not None).get("")
+    per_model = _accuracy(cell for q in questions for cell in q["vanilla"].items())
+    vanilla_section = rag_baseline = None
+    if per_model:
         rag_baseline = _mean(per_model.values())
         vanilla_section = {
             "per_model": per_model,
             "avg": rag_baseline,
             "vs_vanilla_llm": rag_baseline - llm_acc if llm_acc is not None else None,
         }
-
-    mixture_section = None
-    if mixture_flags:
-        mixture_section = _combo_section(
-            {tag: _mean(flags.values()) for tag, flags in mixture_flags.items()},
-            llm_acc, rag_baseline)
-
-    confident_section = None
-    if confident_results:
-        confident_section = {}
-        for metric in confidence.METRICS:
-            per_combo: dict[str, float] = {}
-            for tag, by_q in confident_results.items():
-                flags = []
-                for qid, res in by_q.items():
-                    winner, index = confidence.select_most_confident(res.records, metric)
-                    ok = grade(winner.completion, by_id[qid])
-                    flags.append(ok)
-                    detail[qid]["confident"].setdefault(tag, {})[metric] = {
-                        "winner_index": index,
-                        "winner_model": winner.embedding_model,
-                        "answer_value": extract_answer(winner.completion),
-                        "correct": ok,
-                    }
-                per_combo[tag] = _mean(flags)
-            confident_section[metric] = _combo_section(per_combo, llm_acc, rag_baseline)
-
-    questions = [detail[qid] for qid in sorted(detail)]
+    mixture = _accuracy(cell for q in questions for cell in q["mixture"].items())
+    confident = None
+    if any(q["confident"] for q in questions):
+        confident = {metric: _combo_section(
+            _accuracy((tag, cells[metric]) for q in questions
+                      for tag, cells in q["confident"].items()),
+            llm_acc, rag_baseline) for metric in confidence.METRICS}
     return AccuracyReport(
         vanilla_llm=llm_acc, vanilla_rag=vanilla_section,
-        mixture=mixture_section, confident=confident_section, questions=questions)
+        mixture=_combo_section(mixture, llm_acc, rag_baseline) if mixture else None,
+        confident=confident, questions=questions)
+
+
+def _accuracy(cells) -> dict[str, float]:
+    """Mean ``correct`` flag per key of ``(key, cell)`` pairs, keys in first-seen order."""
+    flags: dict[str, list[bool]] = {}
+    for key, cell in cells:
+        flags.setdefault(key, []).append(cell["correct"])
+    return {key: _mean(values) for key, values in flags.items()}
 
 
 def _record_detail(record: GenerationRecord, correct: bool) -> dict:
@@ -286,6 +277,16 @@ def _record_detail(record: GenerationRecord, correct: bool) -> dict:
             m: {"raw": s.raw, "oriented": s.oriented}
             for m, s in sorted(record.confidence.items())
         },
+    }
+
+
+def _winner_detail(records: list[GenerationRecord], metric: str, item: QAItem) -> dict:
+    winner, index = confidence.select_most_confident(records, metric)
+    return {
+        "winner_index": index,
+        "winner_model": winner.embedding_model,
+        "answer_value": extract_answer(winner.completion),
+        "correct": grade(winner.completion, item),
     }
 
 

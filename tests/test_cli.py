@@ -263,6 +263,16 @@ class TestEval:
         ("embedding", "models", [""]), ("embedding", "models", ["a,b", "c", "d"]),
         ("embedding", "models", "abc"), ("embedding", "models", [["a"], "b"]),
         ("embedding", "models", ["a", "b", "a"]),
+        ("eval", "combination_sizes", 2), ("eval", "pipelines", 5),
+        ("eval", "pipelines", "vanilla"), ("eval", "include_vanilla_llm", "no"),
+        ("eval", "include_vanilla_llm", 1), ("retrieval", "quotas", [1]),
+        ("retrieval", "template_path", 5), ("backend", "max_tokens", "x"),
+        ("backend", "max_tokens", 0), ("backend", "vocab_size", "abc"),
+        ("backend", "vocab_size", 0), ("backend", "top_logprobs", -1),
+        ("backend", "top_logprobs", 2.0), ("backend", "temperature", -0.5),
+        ("backend", "temperature", "0"), ("backend", "temperature", float("nan")),
+        ("backend", "temperature", float("inf")), ("embedding", "batch_size", 0),
+        ("embedding", "batch_size", "64"),
     ])
     def test_bad_number_rejected_before_any_work(self, tmp_path, capsys,
                                                  section, key, value):
@@ -273,6 +283,30 @@ class TestEval:
         assert main(["eval", "--config", str(cfg)]) == 1
         assert f"error: {section}.{key} must be" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key,value,rule", [
+        ("corpus", 5, "corpus must be a list"),
+        ("corpus", {"path": "corpus.jsonl"}, "corpus must be a list"),
+        ("corpus", [{"path": 5}], "corpus entry 'path' must be a non-empty string"),
+        ("output_dir", 5, "output_dir must be a non-empty string"),
+        ("output_dir", "", "output_dir must be a non-empty string"),
+        ("gold_path", 5, "gold_path must be null or a string"),
+        ("gold_path", ["gold.jsonl"], "gold_path must be null or a string"),
+    ])
+    def test_bad_top_level_value_rejected_before_any_work(self, tmp_path, capsys,
+                                                          key, value, rule):
+        cfg = write_config(tmp_path, **{key: value})
+        assert main(["eval", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {rule}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "config.json", "corpus.jsonl", "gold.jsonl"]
+
+    def test_gold_line_without_answer_is_named(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text(json.dumps({"id": "q0", "question": "Ben saw 2 birds."}) + "\n")
+        assert main(["eval", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {gold}:1: missing 'answer'\n"
 
     def test_question_limit_and_integer_sigma(self, tmp_path):
         cfg = write_config(tmp_path)

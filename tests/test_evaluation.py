@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from multirag import retrieval
-from multirag.confidence import METRICS, ConfidenceScore
+from multirag.confidence import METRICS, ConfidenceScore, select_most_confident
 from multirag.embedding import DeterministicProvider
 from multirag.evaluation import (
     QAItem,
@@ -16,6 +16,7 @@ from multirag.evaluation import (
     empirical_cdf,
     extract_answer,
     gold_value,
+    grade,
     is_correct,
     load_gold,
     model_combinations,
@@ -273,14 +274,92 @@ class TestSweep:
 
         assert report_bytes(2) == report_bytes(1)
 
-    def test_detail_supports_recount(self):
+    @pytest.mark.parametrize("include_llm", [False, True], ids=["rag", "llm"])
+    @pytest.mark.parametrize("pipelines", [
+        ["vanilla"], ["mixture"], ["confident"], ["vanilla", "mixture", "confident"],
+    ], ids=["vanilla", "mixture", "confident", "all"])
+    def test_detail_supports_recount(self, pipelines, include_llm):
         corpus, config, items = sweep_setup(n_questions=5)
-        results = run_sweep(corpus, items, config, pipelines=["vanilla"], sizes=[])
+        results = run_sweep(corpus, items, config, pipelines=pipelines, sizes=[2, 3],
+                            include_vanilla_llm=include_llm)
         report = aggregate(results, items)
-        for mid in config.model_ids:
-            flags = [q["vanilla"][mid]["correct"] for q in report.questions]
-            assert report.vanilla_rag["per_model"][mid] == pytest.approx(
-                sum(flags) / len(flags))
+        qs = report.questions
+        assert [q["id"] for q in qs] == sorted(item.id for item in items)
+
+        def mean(flags):
+            flags = list(flags)
+            return sum(flags) / len(flags)
+
+        def close(got, want):
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert abs(got - want) <= 1e-12
+
+        def delta(acc, base):
+            return None if base is None else acc - base
+
+        llm = mean(q["vanilla_llm"]["correct"] for q in qs) if include_llm else None
+        assert report.vanilla_llm == llm
+        assert all((q["vanilla_llm"] is None) != include_llm for q in qs)
+
+        rag = None
+        if "vanilla" in pipelines:
+            per_model = {mid: mean(q["vanilla"][mid]["correct"] for q in qs)
+                         for mid in config.model_ids}
+            assert report.vanilla_rag["per_model"] == per_model
+            rag = mean(per_model.values())
+            close(report.vanilla_rag["avg"], rag)
+            close(report.vanilla_rag["vs_vanilla_llm"], delta(rag, llm))
+        else:
+            assert report.vanilla_rag is None
+            assert all(q["vanilla"] == {} for q in qs)
+
+        tags = [",".join(c) for c in model_combinations(config.model_ids, [2, 3])]
+
+        def check_combo(section, cell):
+            per_combo = {t: mean(cell(q, t)["correct"] for q in qs) for t in tags}
+            assert section["per_combination"] == per_combo
+            assert sorted(section["avg_by_n"]) == ["2", "3"]
+            for n, acc in section["avg_by_n"].items():
+                close(acc, mean(a for t, a in per_combo.items()
+                                if len(t.split(",")) == int(n)))
+            overall = mean(per_combo.values())
+            close(section["avg"], overall)
+            close(section["vs_vanilla_llm"], delta(overall, llm))
+            close(section["vs_vanilla_rag"], delta(overall, rag))
+
+        if "mixture" in pipelines:
+            check_combo(report.mixture, lambda q, t: q["mixture"][t])
+        else:
+            assert report.mixture is None
+            assert all(q["mixture"] == {} for q in qs)
+        if "confident" in pipelines:
+            assert set(report.confident) == set(METRICS)
+            for metric in METRICS:
+                check_combo(report.confident[metric],
+                            lambda q, t, metric=metric: q["confident"][t][metric])
+        else:
+            assert report.confident is None
+            assert all(q["confident"] == {} for q in qs)
+
+        # each cell's flag is its own result graded once, or the confident winner's
+        by_id = {item.id: item for item in items}
+        detail = {q["id"]: q for q in qs}
+        for res in results:
+            q, item = detail[res.question_id], by_id[res.question_id]
+            tag = ",".join(r.embedding_model for r in res.records)
+            if res.pipeline != "confident":
+                cell = (q["vanilla_llm"] if res.pipeline == "vanilla-llm"
+                        else q[res.pipeline][tag])
+                assert cell["correct"] == grade(res.answer, item)
+                continue
+            for metric in METRICS:
+                cell = q["confident"][tag][metric]
+                winner, index = select_most_confident(res.records, metric)
+                assert (cell["winner_index"], cell["winner_model"]) == (
+                    index, winner.embedding_model)
+                assert cell["correct"] == grade(winner.completion, item)
+                assert cell["answer_value"] == extract_answer(winner.completion)
 
 
 class TestCdf:
@@ -469,7 +548,8 @@ class TestGoldLoader:
     @pytest.mark.parametrize("field,value", [
         ("answer", None), ("answer", True), ("answer", False), ("answer", ["3"]),
         ("answer", {"v": 3}), ("id", None), ("id", True), ("id", ""), ("id", 1.5),
-        ("id", ["q2"]), ("id", {"q": 2}),
+        ("id", ["q2"]), ("id", {"q": 2}), ("answer", float("nan")),
+        ("answer", float("inf")), ("answer", float("-inf")),
     ])
     def test_id_and_answer_must_have_meaningful_types(self, tmp_path, field, value):
         path = tmp_path / "gold.jsonl"
@@ -482,6 +562,24 @@ class TestGoldLoader:
         rule = ("must be a non-empty string or an integer" if field == "id"
                 else "gold answer for 'q2' must be a string or a number")
         assert rule in str(exc.value)
+
+    @pytest.mark.parametrize("line,message", [
+        ('["q2", "Two?", "4"]', "expected a JSON object"),
+        ('"q2"', "expected a JSON object"),
+        ('{"question": "Two?", "answer": "4"}', "missing 'id'"),
+        ('{"id": "q2", "answer": "4"}', "missing 'question'"),
+        ('{"id": "q2", "question": "Two?"}', "missing 'answer'"),
+        ('{"id": "q2", "question": "Two?", "answer": 1e999}',
+         "gold answer for 'q2' must be a string or a number, not inf"),
+    ])
+    def test_malformed_line_is_named_at_its_line(self, tmp_path, line, message):
+        path = tmp_path / "gold.jsonl"
+        path.write_text(json.dumps({"id": "q1", "question": "?", "answer": "3"}) + "\n"
+                        + line + "\n")
+        with pytest.raises(MalformedLineError) as exc:
+            load_gold(path)
+        assert exc.value.line_no == 2
+        assert str(exc.value).endswith(f":2: {message}")
 
     def test_integer_id_and_numeric_answers(self, tmp_path):
         path = tmp_path / "gold.jsonl"
