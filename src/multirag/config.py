@@ -255,6 +255,8 @@ def build_template(cfg: RunConfig) -> PromptTemplate:
         return PromptTemplate(text=Path(path).read_text(encoding="utf-8"))
     except OSError as e:
         raise ConfigError(f"retrieval.template_path {path!r} cannot be read: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"retrieval.template_path {path!r} is not valid UTF-8: {e}") from e
 
 
 def build_providers(cfg: RunConfig) -> list:
@@ -297,11 +299,10 @@ def build_pipeline_config(cfg: RunConfig) -> PipelineConfig:
 
 
 def load_corpus(cfg: RunConfig) -> Corpus:
-    """The configured corpus, its matrices stored under ``<output_dir>/index``."""
-    corpus = Corpus(store=Path(cfg["output_dir"]) / "index")
-    for entry in cfg["corpus"]:
-        corpus.ingest(entry["path"], kind=entry.get("kind", "qa"))
-    return corpus
+    """The configured corpus; its snapshot and matrices are stored under
+    ``<output_dir>/index``."""
+    entries = [(entry["path"], entry.get("kind", "qa")) for entry in cfg["corpus"]]
+    return Corpus.from_files(entries, store=Path(cfg["output_dir"]) / "index")
 
 
 def build_manifest(cfg: RunConfig, pipeline_cfg: PipelineConfig,

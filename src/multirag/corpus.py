@@ -17,6 +17,7 @@ import threading
 import time
 import weakref
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,9 @@ from .errors import DuplicateChunkError, MalformedLineError, UnknownChunkError
 log = logging.getLogger(__name__)
 
 KINDS = ("qa", "textbook")
+# part of every snapshot key: bump it when a parse rule changes a file's columns
+SNAPSHOT_VERSION = 1
+_COLUMNS = ("ids", "texts", "kinds", "sources")
 UNIT_NORM_TOL = 1e-9  # a stored row's norm may differ from 1 by this much
 # rows normalised per step: np.linalg.norm allocates two temporaries the size
 # of its input, so a step over the whole matrix briefly triples its memory
@@ -60,14 +64,16 @@ class ChunkIndex:
 
     With a ``store`` directory, a matrix is first looked for there as
     ``<key>.npy``, the key being a hash of the provider's fingerprint and
-    the chunk texts in ingestion order; a missing or invalid file is built
-    as without a store and then written. A stored matrix is memory-mapped
-    read-only, so processes that load one file share its page-cache copy;
-    a built one stays in memory.
+    ``digest``, the corpus digest (see ``snapshot_bytes``); an index given
+    no digest digests its own ids, kinds and texts by the same rule. A
+    missing or invalid file is built as without a store and then written.
+    A stored matrix is memory-mapped read-only, so processes that load one
+    file share its page-cache copy; a built one stays in memory.
     """
 
     def __init__(self, ids: list[str], kinds: list[str] | None = None,
-                 texts: list[str] | None = None, store: str | Path | None = None):
+                 texts: list[str] | None = None, store: str | Path | None = None,
+                 digest: str | None = None):
         self.ids = ids
         self.position = {cid: i for i, cid in enumerate(ids)}
         self.kinds = None if kinds is None else np.array(kinds)
@@ -77,7 +83,9 @@ class ChunkIndex:
             kind: np.flatnonzero(self.kinds == kind) for kind in dict.fromkeys(kinds)}
         self._texts = texts
         self._store = None if store is None else Path(store)
-        self._texts_digest: str | None = None
+        if store is not None and digest is None:
+            digest = _sha256(snapshot_bytes(ids, texts, kinds, []))
+        self._digest = digest
         self._lock = threading.Lock()
         # provider -> [lock, matrix]; the lock makes concurrent first uses build once
         self._matrices: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -101,18 +109,16 @@ class ChunkIndex:
                     log.debug("built the %d x %d corpus matrix of %r in %.3f s",
                               *block.shape, provider.model_id, time.perf_counter() - t0)
                     if path is not None:
-                        _save_matrix(path, block)
+                        _write_atomic(path, lambda f: np.save(f, block, allow_pickle=False),
+                                      "corpus matrix")
                 slot[1] = block
             return slot[1]
 
     def stored_path(self, provider) -> Path:
         """``<store>/<key>.npy``: the key hashes the provider's fingerprint and
-        the chunk texts in ingestion order, each encoded as JSON."""
-        if self._texts_digest is None:
-            self._texts_digest = hashlib.sha256(
-                json.dumps(self._texts).encode("utf-8")).hexdigest()
-        key = json.dumps([provider.fingerprint(), self._texts_digest], sort_keys=True)
-        return self._store / f"{hashlib.sha256(key.encode('utf-8')).hexdigest()}.npy"
+        the corpus digest."""
+        key = json.dumps([provider.fingerprint(), self._digest], sort_keys=True)
+        return self._store / f"{_sha256(key.encode('utf-8'))}.npy"
 
 
 def _unit_rows(block: np.ndarray) -> np.ndarray:
@@ -165,22 +171,23 @@ def _load_matrix(path: Path, rows: int, provider) -> np.ndarray | None:
     return None
 
 
-def _save_matrix(path: Path, block: np.ndarray) -> None:
-    """Write ``block`` to ``path`` atomically; a failure is logged, not raised.
+def _write_atomic(path: Path, write, what: str) -> None:
+    """Write ``path`` through ``write(file)`` into a temp file, then rename it
+    into place; a failure is logged as ``what``, not raised.
 
-    The file is only ever replaced by a rename, never rewritten in place:
-    a process may hold the old one memory-mapped.
+    A stored file is only ever replaced by a rename, never rewritten in
+    place: a process may hold the old one memory-mapped or half read.
     """
     tmp = None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
         with os.fdopen(fd, "wb") as f:
-            np.save(f, block, allow_pickle=False)
+            write(f)
         os.replace(tmp, path)
-        log.debug("stored the corpus matrix at %s", path)
+        log.debug("stored the %s at %s", what, path)
     except OSError as e:
-        log.warning("could not store the corpus matrix at %s: %s", path, e)
+        log.warning("could not store the %s at %s: %s", what, path, e)
         if tmp is not None:
             try:
                 os.unlink(tmp)
@@ -188,43 +195,114 @@ def _save_matrix(path: Path, block: np.ndarray) -> None:
                 pass
 
 
-_DECODER = json.JSONDecoder()
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
-def _json_value(line: str):
-    """``json.loads(line)``, skipping its whitespace scans when none is needed."""
+def snapshot_bytes(ids, texts, kinds, sources) -> bytes:
+    """The JSON of the four corpus columns: a snapshot file's bytes.
+
+    Their sha256 is the corpus digest that keys the matrix store, whether
+    a snapshot was read, written or never made.
+    """
+    return json.dumps(dict(zip(_COLUMNS, (ids, texts, kinds, sources)))).encode("utf-8")
+
+
+def _snapshot_columns(raw: bytes) -> tuple[list[str], ...]:
+    """The columns a snapshot's bytes hold, held to every rule ingestion
+    keeps; a ValueError names the first rule broken.
+
+    Each check is one C-level pass (``map``, ``set``), not a generator.
+    """
+    obj = json.loads(raw)
+    if type(obj) is not dict or obj.keys() != set(_COLUMNS):
+        raise ValueError(f"not an object of the columns {_COLUMNS}")
+    columns = tuple(obj[name] for name in _COLUMNS)
+    if {type(column) for column in columns} != {list}:
+        raise ValueError("a column is not a list")
+    if len(set(map(len, columns))) != 1:
+        raise ValueError("columns of unequal length")
+    if not {str}.issuperset(map(type, chain.from_iterable(columns))):
+        raise ValueError("an item that is not a string")
+    ids, texts, kinds, _ = columns
+    if not all(ids) or len(set(ids)) != len(ids):
+        raise ValueError("an empty or duplicate id")
+    if not all(map(str.strip, texts)):
+        raise ValueError("an empty text")
+    if not set(kinds) <= set(KINDS):
+        raise ValueError("an unknown kind")
+    return columns
+
+
+def _read_snapshot(path: Path) -> tuple[bytes, tuple[list[str], ...]] | None:
+    """The bytes and columns of the snapshot at ``path`` if it passes every
+    check, else None."""
     try:
-        value, end = _DECODER.raw_decode(line)
-        if end == len(line):
-            return value
-    except json.JSONDecodeError:
-        pass
-    return json.loads(line)  # surrounding whitespace, or the error json.loads reports
+        raw = path.read_bytes()
+        return raw, _snapshot_columns(raw)
+    except FileNotFoundError:
+        return None
+    except (OSError, ValueError, RecursionError) as e:
+        log.warning("rejected the corpus snapshot %s (%s); rewriting it", path, e)
+        return None
 
 
-def read_text(path: Path) -> str:
-    """A UTF-8 file's text; a file that cannot be read is malformed at line 0."""
+def read_bytes(path: Path) -> bytes:
+    """A file's bytes; a file that cannot be read is malformed at line 0."""
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_bytes()
     except OSError as e:
         raise MalformedLineError(str(path), 0, f"unreadable file: {e}") from e
 
 
-def read_jsonl(path: Path):
-    """Yield ``(line number, value)`` for each non-blank line of a JSONL file.
+def _newlines(text: str) -> str:
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
-    Lines end at "\n" only (``read_text`` turns "\r\n" into it): U+0085,
+
+def decode_text(data: bytes, path: Path) -> str:
+    """``data`` decoded as ``path.read_text(encoding="utf-8")`` decodes it:
+    "\r\n" and a lone "\r" become "\n".
+
+    Bytes that are not UTF-8 make the file malformed at the line holding
+    the first of them.
+    """
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line_no = _newlines(data[:e.start].decode("utf-8")).count("\n") + 1
+        raise MalformedLineError(
+            str(path), line_no,
+            f"not valid UTF-8: byte 0x{data[e.start]:02x} at offset {e.start} ({e.reason})",
+        ) from e
+    return _newlines(text)
+
+
+def jsonl_values(text: str, path: Path):
+    """Yield ``(line number, value)`` for each non-blank line of JSONL text
+    read from ``path``.
+
+    Lines end at "\n" only (``decode_text`` turns "\r\n" into it): U+0085,
     U+2028 and U+2029 may stand raw inside a JSON string, and
     ``str.splitlines`` would cut the line there.
     """
-    for line_no, line in enumerate(read_text(path).split("\n"), start=1):
+    for line_no, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:
-            value = _json_value(line)
+            value = json.loads(line)
         except json.JSONDecodeError as e:
             raise MalformedLineError(str(path), line_no, f"invalid JSON: {e.msg}") from e
         yield line_no, value
+
+
+def read_jsonl(path: Path):
+    """``jsonl_values`` of the UTF-8 file at ``path``."""
+    return jsonl_values(decode_text(read_bytes(path), path), path)
+
+
+def _check_kind(kind: str) -> None:
+    if kind not in KINDS:
+        raise ValueError(f"unknown chunk kind {kind!r}")
 
 
 class Corpus:
@@ -233,7 +311,8 @@ class Corpus:
     Chunk ids, texts, kinds and sources are parallel lists in ingestion
     order; a ``Chunk`` is built only when one is read (``get``, iteration,
     ``chunks``). ``store`` is a directory for the index's corpus matrices
-    (see ``ChunkIndex``); without it they live in memory only.
+    (see ``ChunkIndex``) and for ``from_files``' snapshots; without it the
+    matrices live in memory only.
     """
 
     def __init__(self, store: str | Path | None = None):
@@ -245,6 +324,8 @@ class Corpus:
         self._position: dict[str, int] = {}
         self._index: ChunkIndex | None = None
         self._index_lock = threading.Lock()
+        # sha256 of snapshot_bytes(columns), known after from_files, else computed on first use
+        self._digest: str | None = None
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -276,9 +357,13 @@ class Corpus:
         """The retrieval index of every chunk added so far, built on first use."""
         with self._index_lock:
             if self._index is None:
+                if self.store is not None and self._digest is None:
+                    self._digest = _sha256(snapshot_bytes(
+                        self._ids, self._texts, self._kinds, self._sources))
                 # copies: a later add must not grow the lists an index was built on
                 self._index = ChunkIndex(list(self._ids), list(self._kinds),
-                                         list(self._texts), store=self.store)
+                                         list(self._texts), store=self.store,
+                                         digest=self._digest)
             return self._index
 
     def add(self, chunk: Chunk) -> None:
@@ -302,6 +387,7 @@ class Corpus:
             self._sources += sources
             self._position.update(fresh)
             self._index = None
+            self._digest = None
 
     def _fresh_id(self, taken: set[str]) -> str:
         n = len(self._ids) + len(taken)
@@ -324,23 +410,69 @@ class Corpus:
         line adds nothing.
         """
         path = Path(path)
-        if kind not in KINDS:
-            raise ValueError(f"unknown chunk kind {kind!r}")
+        _check_kind(kind)
+        return self._ingest(path, read_bytes(path), kind)
+
+    def _ingest(self, path: Path, data: bytes, kind: str) -> int:
+        """``ingest`` of the file at ``path`` whose bytes are ``data``."""
+        text = decode_text(data, path)
         if path.suffix.lower() == ".jsonl":
-            columns = self._parse_jsonl(path, kind)
+            columns = self._parse_jsonl(text, path, kind)
         else:
-            columns = self._parse_plain(read_text(path), kind, source=str(path))
+            columns = self._parse_plain(text, kind, source=str(path))
         self._append(*columns)
         return len(columns[0])
 
-    def _parse_jsonl(self, file: Path, default_kind: str) -> tuple[list[str], ...]:
+    @classmethod
+    def from_files(cls, entries: list[tuple[str, str]], store: str | Path) -> Corpus:
+        """The corpus ``ingest`` builds from ``entries``, (path, kind) pairs
+        in order, kept as a snapshot under ``store``.
+
+        The snapshot ``<store>/<key>.corpus.json`` holds the validated
+        columns (``snapshot_bytes``). Its key hashes ``SNAPSHOT_VERSION``
+        and each entry's path as given, kind and file sha256, in order: a
+        line without ``source`` takes the path as its source, and an
+        auto-assigned id counts the chunks ingested before it. A snapshot
+        is used only if it passes ``_snapshot_columns``' checks; anything
+        else is a miss, which parses the very bytes that were hashed and
+        writes the snapshot. A file that fails to parse gets none.
+        """
+        for _, kind in entries:
+            _check_kind(kind)
+        corpus = cls(store=store)
+        blobs: list[bytes] = []
+        for path, kind in entries:
+            try:
+                blobs.append(read_bytes(Path(path)))
+            except MalformedLineError:
+                # the files before it come first, so their errors do too, as with ingest
+                for (earlier, earlier_kind), data in zip(entries, blobs):
+                    corpus._ingest(Path(earlier), data, earlier_kind)
+                raise
+        key = json.dumps([SNAPSHOT_VERSION, [[os.fspath(path), kind, _sha256(data)]
+                                             for (path, kind), data in zip(entries, blobs)]])
+        snapshot = Path(store) / f"{_sha256(key.encode('utf-8'))}.corpus.json"
+        found = _read_snapshot(snapshot)
+        if found is None:
+            for (path, kind), data in zip(entries, blobs):
+                corpus._ingest(Path(path), data, kind)
+            raw = snapshot_bytes(corpus._ids, corpus._texts, corpus._kinds, corpus._sources)
+            _write_atomic(snapshot, lambda f: f.write(raw), "corpus snapshot")
+        else:
+            raw, columns = found
+            corpus._append(*columns)
+            log.debug("loaded %d chunks from the corpus snapshot %s", len(corpus), snapshot)
+        corpus._digest = _sha256(raw)
+        return corpus
+
+    def _parse_jsonl(self, text: str, file: Path, default_kind: str) -> tuple[list[str], ...]:
         path = str(file)
         ids: list[str] = []
         texts: list[str] = []
         kinds: list[str] = []
         sources: list[str] = []
         assigned: set[str] = set()
-        for line_no, obj in read_jsonl(file):
+        for line_no, obj in jsonl_values(text, file):
             if not isinstance(obj, dict):
                 raise MalformedLineError(path, line_no, "expected a JSON object")
             text = obj.get("text")

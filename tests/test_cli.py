@@ -332,6 +332,30 @@ class TestEval:
         assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("which", ["corpus", "gold", "template"])
+def test_non_utf8_file_is_named(tmp_path, capsys, which):
+    cfg = write_config(tmp_path)
+    data = json.loads(cfg.read_text())
+    path = Path(data["corpus"][0]["path"] if which == "corpus" else data["gold_path"])
+    if which == "template":
+        path = tmp_path / "template.txt"
+        path.write_text("Answer briefly.\r\n{{references}}\r\nQ: {{question}}\r\n")
+        data["retrieval"]["template_path"] = str(path)
+        cfg.write_text(json.dumps(data))
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = lines[2].replace(b" ", b" \xe9", 1)  # latin-1 for "é"
+    path.write_bytes(b"\n".join(lines))
+    command = "eval" if which == "gold" else "ask"
+    args = [command, "How many?"] if command == "ask" else [command]
+    assert main([*args, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    if which == "template":
+        assert err.startswith(f"error: retrieval.template_path {str(path)!r} is not valid UTF-8")
+    else:
+        assert err.startswith(f"error: {path}:3: not valid UTF-8: byte 0xe9 at offset ")
+    assert "Traceback" not in err
+
+
 class TestReport:
     def test_rerender_tables(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

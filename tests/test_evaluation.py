@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -129,11 +130,24 @@ class TestAggregate:
             aggregate([res], gold(1))
 
 
-def sweep_setup(n_questions=6, models=("det-a", "det-b", "det-c"), seed=0):
+def graded_answer(prompt: str) -> str:
+    """A final number that is right for some prompts and wrong for others.
+
+    The gold answer of "Morgan counts i and i + 1 stones." is 2i + 1. The
+    answer is right when i plus the pears of the retrieved qa chunks
+    ("Sam had n pears") is even, so it depends on the question and on what
+    each model retrieved.
+    """
+    i = int(re.search(r"Morgan counts (\d+) and", prompt).group(1))
+    pears = sum(map(int, re.findall(r"Sam had (\d+) pears", prompt)))
+    return str(2 * i + 1 if (i + pears) % 2 == 0 else 2 * i + 2)
+
+
+def sweep_setup(n_questions=6, models=("det-a", "det-b", "det-c"), seed=0, answer_fn=None):
     corpus = build_corpus()
     config = PipelineConfig(
         providers=[DeterministicProvider(m, dim=16) for m in models],
-        backend=MockBackend(seed=seed),
+        backend=MockBackend(seed=seed, answer_fn=answer_fn),
         template=PromptTemplate(text="{{references}}Q: {{question}}"),
         k=2, quotas=None, metric="self-certainty",
         decode=DecodeParams(), seed=seed)
@@ -279,12 +293,23 @@ class TestSweep:
         ["vanilla"], ["mixture"], ["confident"], ["vanilla", "mixture", "confident"],
     ], ids=["vanilla", "mixture", "confident", "all"])
     def test_detail_supports_recount(self, pipelines, include_llm):
-        corpus, config, items = sweep_setup(n_questions=5)
+        corpus, config, items = sweep_setup(n_questions=5, answer_fn=graded_answer)
         results = run_sweep(corpus, items, config, pipelines=pipelines, sizes=[2, 3],
                             include_vanilla_llm=include_llm)
         report = aggregate(results, items)
         qs = report.questions
         assert [q["id"] for q in qs] == sorted(item.id for item in items)
+
+        # every section grades some answers right and some wrong, so a flag
+        # taken from the wrong record or result shows in the counts below
+        sections = {"vanilla_llm": [q["vanilla_llm"] for q in qs if q["vanilla_llm"]]}
+        for name in ("vanilla", "mixture"):
+            sections[name] = [cell for q in qs for cell in q[name].values()]
+        for metric in METRICS:
+            sections[metric] = [cells[metric] for q in qs for cells in q["confident"].values()]
+        for name, cells in sections.items():
+            if cells:
+                assert {cell["correct"] for cell in cells} == {True, False}, name
 
         def mean(flags):
             flags = list(flags)

@@ -2,7 +2,9 @@
 
 The inputs are the benchmark's own: ``perfbench.inputs`` writes the
 sweep-5k corpus, gold set and config at seed 7, and the eval is cut to
-120 questions. Every report file is pinned by its sha256, so any change
+120 questions, and run twice into one output directory: on a cold store,
+then on a warm one that holds the corpus snapshot and every matrix.
+Every report file is pinned by its sha256, so any change
 to a number, a key or the formatting of ``report.json``, ``tables.txt``
 or a ``cdf_*.csv`` fails here. The digests were measured with numpy
 2.4.6; a numpy upgrade or a change to ``perfbench.inputs`` that moves them
@@ -11,6 +13,7 @@ calls for re-pinning once the new bytes are understood.
 
 import hashlib
 import json
+import logging
 from pathlib import Path
 
 from multirag.cli import main
@@ -29,7 +32,7 @@ PINNED = {
 }
 
 
-def test_sweep_5k_eval_writes_pinned_bytes(tmp_path, monkeypatch, capsys):
+def test_sweep_5k_eval_writes_pinned_bytes(tmp_path, monkeypatch, capsys, caplog):
     monkeypatch.syspath_prepend(str(ROOT))
     from perfbench.inputs import write_config, write_inputs
 
@@ -39,10 +42,17 @@ def test_sweep_5k_eval_writes_pinned_bytes(tmp_path, monkeypatch, capsys):
     data["eval"]["max_questions"] = 120
     config.write_text(json.dumps(data), encoding="utf-8")
     outdir = tmp_path / "report"
-    assert main(["eval", "--config", str(config), "--out", str(outdir)]) == 0
-
-    for name, pinned in PINNED.items():
-        digest = hashlib.sha256((outdir / name).read_bytes()).hexdigest()
-        assert digest == pinned, (
-            f"{name} has sha256 {digest}, pinned {pinned}. If numpy or "
-            f"perfbench.inputs changed, re-pin; otherwise the eval's output changed.")
+    caplog.set_level(logging.DEBUG, logger="multirag.corpus")
+    # the second eval reads the corpus snapshot and the stored matrices
+    for state in ("cold", "warm"):
+        caplog.clear()
+        assert main(["eval", "--config", str(config), "--out", str(outdir)]) == 0
+        if state == "warm":
+            assert "from the corpus snapshot" in caplog.text
+            assert "built the" not in caplog.text
+        for name, pinned in PINNED.items():
+            digest = hashlib.sha256((outdir / name).read_bytes()).hexdigest()
+            assert digest == pinned, (
+                f"{name} has sha256 {digest} on a {state} store, pinned {pinned}. If "
+                f"numpy or perfbench.inputs changed, re-pin; otherwise the eval's "
+                f"output changed.")
