@@ -107,6 +107,8 @@ def load_config(path: str | Path | None = None,
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
         except OSError as e:
             raise ConfigError(f"cannot read config {path}: {e}") from e
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"config {path} is not valid UTF-8: {e}") from e
         except json.JSONDecodeError as e:
             raise ConfigError(f"config {path} is not valid JSON: {e}") from e
         if not isinstance(raw, dict):

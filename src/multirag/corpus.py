@@ -34,6 +34,10 @@ UNIT_NORM_TOL = 1e-9  # a stored row's norm may differ from 1 by this much
 # rows normalised per step: np.linalg.norm allocates two temporaries the size
 # of its input, so a step over the whole matrix briefly triples its memory
 NORM_ROWS = 256
+# np.load parses a .npy header with ast.literal_eval, and CPython 3.11's AST
+# constructor keeps its recursion depth in state all threads share: two threads
+# loading at once can fail with "AST constructor recursion depth mismatch"
+_NPY_LOAD_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -61,6 +65,8 @@ class ChunkIndex:
     vectors, and a question is scored with one matrix-vector product.
     An index built from ids alone (``kinds`` and ``texts`` omitted) serves
     similarity rows given as plain ``{chunk id: score}`` mappings.
+    ``position``, the id -> ordinal dict of ``ids``, is built when not given;
+    the index keeps the lists and the dict it is given, not copies.
 
     With a ``store`` directory, a matrix is first looked for there as
     ``<key>.npy``, the key being a hash of the provider's fingerprint and
@@ -69,13 +75,16 @@ class ChunkIndex:
     missing or invalid file is built as without a store and then written.
     A stored matrix is memory-mapped read-only, so processes that load one
     file share its page-cache copy; a built one stays in memory.
+    ``product(provider, vector)`` is ``matrix(provider) @ vector``; on a
+    stored matrix's first use it checks the file while it computes the
+    product (see ``_load_matrix``).
     """
 
     def __init__(self, ids: list[str], kinds: list[str] | None = None,
                  texts: list[str] | None = None, store: str | Path | None = None,
-                 digest: str | None = None):
+                 digest: str | None = None, position: dict[str, int] | None = None):
         self.ids = ids
-        self.position = {cid: i for i, cid in enumerate(ids)}
+        self.position = {cid: i for i, cid in enumerate(ids)} if position is None else position
         self.kinds = None if kinds is None else np.array(kinds)
         # each kind's positions in ascending order, so per-kind selection
         # reads them instead of comparing every chunk's label
@@ -95,24 +104,36 @@ class ChunkIndex:
 
     def matrix(self, provider) -> np.ndarray:
         """(chunks, dim) unit-norm vectors of every chunk under ``provider``."""
+        return self._filled(provider)[0]
+
+    def product(self, provider, vector: np.ndarray) -> np.ndarray:
+        """``matrix(provider) @ vector``, bit for bit."""
+        block, scores = self._filled(provider, vector)
+        return block @ vector if scores is None else scores
+
+    def _filled(self, provider, vector: np.ndarray | None = None):
+        """The provider's matrix, loaded or built on first use, and its
+        product with ``vector`` if loading it computed one, else None."""
         with self._lock:
             slot = self._matrices.setdefault(provider, [threading.Lock(), None])
         with slot[0]:
-            if slot[1] is None:
-                if self._texts is None:
-                    raise ValueError("this index holds no chunk texts to embed")
-                path = None if self._store is None else self.stored_path(provider)
-                block = None if path is None else _load_matrix(path, len(self._texts), provider)
-                if block is None:
-                    t0 = time.perf_counter()
-                    block = _unit_rows(provider.embed_matrix(self._texts))
-                    log.debug("built the %d x %d corpus matrix of %r in %.3f s",
-                              *block.shape, provider.model_id, time.perf_counter() - t0)
-                    if path is not None:
-                        _write_atomic(path, lambda f: np.save(f, block, allow_pickle=False),
-                                      "corpus matrix")
-                slot[1] = block
-            return slot[1]
+            if slot[1] is not None:
+                return slot[1], None
+            if self._texts is None:
+                raise ValueError("this index holds no chunk texts to embed")
+            path = None if self._store is None else self.stored_path(provider)
+            block, scores = (None, None) if path is None else _load_matrix(
+                path, len(self._texts), provider, vector)
+            if block is None:
+                t0 = time.perf_counter()
+                block = _unit_rows(provider.embed_matrix(self._texts))
+                log.debug("built the %d x %d corpus matrix of %r in %.3f s",
+                          *block.shape, provider.model_id, time.perf_counter() - t0)
+                if path is not None:
+                    _write_atomic(path, lambda f: np.save(f, block, allow_pickle=False),
+                                  "corpus matrix")
+            slot[1] = block
+            return block, scores
 
     def stored_path(self, provider) -> Path:
         """``<store>/<key>.npy``: the key hashes the provider's fingerprint and
@@ -138,15 +159,48 @@ def _unit_rows(block: np.ndarray) -> np.ndarray:
     return block
 
 
-def _load_matrix(path: Path, rows: int, provider) -> np.ndarray | None:
-    """The stored matrix at ``path``, mapped read-only, if it passes every rule a
-    built one does, else None.
+def _load_matrix(path: Path, rows: int, provider,
+                 vector: np.ndarray | None = None) -> tuple[np.ndarray | None, ...]:
+    """``(matrix, matrix @ vector)`` for the stored matrix at ``path``, mapped
+    read-only, if it passes every rule a built one does, else ``(None, None)``.
 
-    A dimension that disagrees with the provider's raises
-    ``DimensionMismatchError``, as a freshly embedded block would.
+    Both the unit-norm check and the product read every page of the file.
+    When ``vector`` fits the matrix, the check runs on a second thread while
+    this one computes the product (numpy releases the GIL in both), and the
+    product is kept only if the check passes. Without a fitting vector the
+    product is None. A dimension that disagrees with the provider's raises
+    ``DimensionMismatchError``, as a freshly embedded block would, but only
+    once the check has passed: an invalid file is rebuilt.
     """
+    block = _map_matrix(path, rows)
+    if block is None:
+        return None, None
+    scores = product_s = None
+    if vector is not None and block.shape[1] == len(vector):
+        problem, check_s, scores, product_s = _check_during_product(block, vector)
+    else:
+        t0 = time.perf_counter()
+        problem = _norm_problem(block)
+        check_s = time.perf_counter() - t0
+    if problem is not None:
+        _reject(path, problem, rows)
+        return None, None
+    provider.hold_dims({block.shape[1]})
+    timings = f"unit-norm check {check_s * 1e3:.1f} ms"
+    if product_s is not None:
+        timings += f", first product {product_s * 1e3:.1f} ms alongside it"
+    log.debug("loaded the %d x %d corpus matrix of %r from %s (%s)",
+              *block.shape, provider.model_id, path, timings)
+    return block, scores
+
+
+def _map_matrix(path: Path, rows: int) -> np.ndarray | None:
+    """The header step of ``_load_matrix``: the file at ``path`` mapped
+    read-only if it holds a float64 matrix of ``rows`` rows and at least one
+    column, else None."""
     try:
-        block = np.load(path, mmap_mode="r", allow_pickle=False)
+        with _NPY_LOAD_LOCK:
+            block = np.load(path, mmap_mode="r", allow_pickle=False)
     except FileNotFoundError:
         return None
     except (OSError, ValueError, EOFError) as e:
@@ -154,21 +208,56 @@ def _load_matrix(path: Path, rows: int, provider) -> np.ndarray | None:
         return None
     if (not isinstance(block, np.ndarray) or block.dtype != np.float64 or block.ndim != 2
             or block.shape[0] != rows or block.shape[1] == 0):
-        problem = (f"{getattr(block, 'dtype', type(block).__name__)} "
-                   f"of shape {getattr(block, 'shape', None)}")
+        _reject(path, f"{getattr(block, 'dtype', type(block).__name__)} "
+                      f"of shape {getattr(block, 'shape', None)}", rows)
+        return None
+    return block.view(np.ndarray)
+
+
+def _norm_problem(block: np.ndarray) -> str | None:
+    """Why ``block``'s rows are not all unit-norm, or None if they are."""
     # a non-finite entry makes its row's sum of squares inf or nan, failing this too
-    elif not (np.abs(np.sqrt(np.einsum("ij,ij->i", block, block)) - 1.0)
-              <= UNIT_NORM_TOL).all():
-        problem = ("non-finite entries" if not np.isfinite(block).all()
-                   else "rows that are not unit-norm")
-    else:
-        provider.hold_dims({block.shape[1]})
-        log.debug("loaded the %d x %d corpus matrix of %r from %s",
-                  *block.shape, provider.model_id, path)
-        return block.view(np.ndarray)
+    if (np.abs(np.sqrt(np.einsum("ij,ij->i", block, block)) - 1.0) <= UNIT_NORM_TOL).all():
+        return None
+    return ("non-finite entries" if not np.isfinite(block).all()
+            else "rows that are not unit-norm")
+
+
+def _check_during_product(block: np.ndarray, vector: np.ndarray):
+    """``(_norm_problem(block), its seconds, block @ vector, its seconds)``,
+    the check run on a second thread while this one computes the product.
+
+    The thread runs ``_norm_problem``, which calls numpy only: perfbench's
+    tracer wraps package functions with a span stack that is not
+    thread-safe. The thread has ended when this returns or raises, and an
+    exception in the check is raised here.
+    """
+    outcome: dict = {}
+
+    def check():
+        t0 = time.perf_counter()
+        try:
+            outcome["problem"] = _norm_problem(block)
+        except BaseException as e:  # raised again on the caller's thread
+            outcome["error"] = e
+        outcome["seconds"] = time.perf_counter() - t0
+
+    thread = threading.Thread(target=check, name="multirag-norm-check")
+    thread.start()
+    try:
+        t0 = time.perf_counter()
+        scores = block @ vector
+        product_s = time.perf_counter() - t0
+    finally:
+        thread.join()
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["problem"], outcome["seconds"], scores, product_s
+
+
+def _reject(path: Path, problem: str, rows: int) -> None:
     log.warning("rejected the stored corpus matrix %s (%s, want %d float64 rows); "
                 "rebuilding it", path, problem, rows)
-    return None
 
 
 def _write_atomic(path: Path, write, what: str) -> None:
@@ -360,10 +449,10 @@ class Corpus:
                 if self.store is not None and self._digest is None:
                     self._digest = _sha256(snapshot_bytes(
                         self._ids, self._texts, self._kinds, self._sources))
-                # copies: a later add must not grow the lists an index was built on
-                self._index = ChunkIndex(list(self._ids), list(self._kinds),
-                                         list(self._texts), store=self.store,
-                                         digest=self._digest)
+                # shared, not copied: _append copies a column an index shares before growing it
+                self._index = ChunkIndex(self._ids, self._kinds, self._texts,
+                                         store=self.store, digest=self._digest,
+                                         position=self._position)
             return self._index
 
     def add(self, chunk: Chunk) -> None:
@@ -381,6 +470,10 @@ class Corpus:
                     raise DuplicateChunkError(cid)
                 seen.add(cid)
         with self._index_lock:
+            if self._index is not None:
+                # the index shares these columns: it keeps them, and they grow as copies
+                self._ids, self._texts, self._kinds = self._ids[:], self._texts[:], self._kinds[:]
+                self._position = self._position.copy()
             self._ids += ids
             self._texts += texts
             self._kinds += kinds

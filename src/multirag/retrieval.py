@@ -173,7 +173,7 @@ def score_all(provider, question: str, corpus: Corpus,
         raise ValueError("cannot score a question against an empty corpus")
     index = corpus.index()
     query = provider.embed([question])[0].values
-    scores = index.matrix(provider) @ (query / np.linalg.norm(query))
+    scores = index.product(provider, query / np.linalg.norm(query))
     np.clip(scores, -1.0, 1.0, out=scores)
     return SimilarityRow(provider.model_id, question_id, scores, index)
 

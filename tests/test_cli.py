@@ -356,6 +356,17 @@ def test_non_utf8_file_is_named(tmp_path, capsys, which):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["ask", "eval"])
+def test_non_utf8_config_is_named(tmp_path, capsys, command):
+    cfg = write_config(tmp_path)
+    cfg.write_bytes(cfg.read_bytes().replace(b"det-a", b"d\xe9t-a", 1))
+    args = [command, "How many?"] if command == "ask" else [command]
+    assert main([*args, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {cfg} is not valid UTF-8: ")
+    assert "0xe9" in err and "Traceback" not in err
+
+
 class TestReport:
     def test_rerender_tables(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -5,11 +5,13 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from multirag import corpus as corpus_module
 from multirag.corpus import NORM_ROWS, Chunk, ChunkIndex, Corpus, _unit_rows
 from multirag.embedding import DeterministicProvider, RemoteProvider
 from multirag.errors import (
@@ -18,6 +20,7 @@ from multirag.errors import (
     MalformedLineError,
     UnknownChunkError,
 )
+from multirag.retrieval import score_all
 
 
 def write_jsonl(path, rows):
@@ -371,6 +374,22 @@ def test_index_is_a_snapshot_of_the_columns(tmp_path):
     assert corpus.index().ids == ["a", "b"] and list(corpus.index().kinds) == ["qa", "textbook"]
 
 
+def test_index_shares_the_columns_until_the_next_add():
+    corpus = Corpus()
+    ids, position = corpus._ids, corpus._position
+    corpus.add(Chunk(id="a", text="one", kind="qa"))
+    # no index shares them yet, so they grow in place: a loop of adds stays linear
+    assert corpus._ids is ids and corpus._position is position
+    first = corpus.index()
+    assert first.ids is corpus._ids and first.position is corpus._position
+    corpus.add(Chunk(id="b", text="two", kind="textbook"))
+    assert first.ids == ["a"] and first.position == {"a": 0} and first._texts == ["one"]
+    second = corpus.index()
+    assert second.ids == ["a", "b"] and second.position == {"a": 0, "b": 1}
+    assert second.ids is corpus._ids and second.position is corpus._position
+    assert ChunkIndex(["x", "y"]).position == {"x": 0, "y": 1}
+
+
 # ---------------------------------------------------------------------------
 # the on-disk matrix store
 # ---------------------------------------------------------------------------
@@ -638,3 +657,187 @@ class TestMatrixStore:
             corpus.add(Chunk(id=f"c{i}", text=f"chunk number {i}", kind="qa"))
         want = corpus.index().matrix(DeterministicProvider("det-a", dim=16))
         assert np.load(path, allow_pickle=False).tobytes() == want.tobytes()
+
+
+def unit_vector(dim: int, seed: int = 0) -> np.ndarray:
+    v = np.random.default_rng(seed).standard_normal(dim)
+    return v / np.linalg.norm(v)
+
+
+QUESTION = "How many coins does Ann have?"
+
+
+class TestOverlappedLoad:
+    """``ChunkIndex.product``: a stored matrix's unit-norm check runs on a
+    second thread while its first product is computed."""
+
+    @pytest.mark.parametrize("rows, dim", [(1, 3), (5, 32), (257, 384), (5003, 32)])
+    def test_loaded_product_equals_built_product_bit_for_bit(self, tmp_path, caplog,
+                                                              rows, dim):
+        ids = [f"c{i}" for i in range(rows)]
+        texts = [f"chunk {i} holds {i % 7} coins" for i in range(rows)]
+        vector = unit_vector(dim, seed=rows)
+        want = ChunkIndex(ids, texts=texts).matrix(Counting(dim=dim)) @ vector
+        ChunkIndex(ids, texts=texts, store=tmp_path).matrix(Counting(dim=dim))
+        caplog.set_level(logging.DEBUG, logger="multirag.corpus")
+        provider = Counting(dim=dim)
+        index = ChunkIndex(ids, texts=texts, store=tmp_path)
+        got = index.product(provider, vector)
+        assert provider.batches == 0
+        assert "first product" in caplog.text and "alongside it" in caplog.text
+        assert np.array_equal(got, want)
+        assert np.array_equal(index.product(provider, vector), want)  # the in-memory hit
+        assert np.array_equal(index.matrix(provider) @ vector, want)
+
+    def test_cold_and_warm_rows_are_equal(self, tmp_path):
+        for model_id in ("det-a", "det-b"):
+            rows = []
+            for store in (None, tmp_path, tmp_path):
+                provider = Counting(model_id)
+                rows.append(score_all(provider, QUESTION, stored_corpus(store)).values)
+            assert provider.batches == 1  # the warm row embeds the question only
+            assert all(np.array_equal(row, rows[0]) for row in rows)
+
+    @pytest.mark.parametrize("corrupt, problem", [
+        ("_nan", "non-finite entries"),
+        ("_not_unit", "rows that are not unit-norm"),
+        ("_wrong_dtype", "float32 of shape (12, 8)"),
+        ("_wrong_shape", "float64 of shape (11, 8)"),
+        ("_truncated", None),
+    ])
+    def test_invalid_file_is_rebuilt_and_scored_as_built(self, tmp_path, caplog,
+                                                          corrupt, problem):
+        built = build(tmp_path)
+        (path,) = stored_files(tmp_path)
+        getattr(TestMatrixStore, corrupt)(path, built)
+        caplog.set_level(logging.WARNING, logger="multirag.corpus")
+        provider = Counting()
+        vector = unit_vector(8)
+        scores = stored_corpus(tmp_path).index().product(provider, vector)
+        assert provider.batches == 1
+        (warning,) = [r.getMessage() for r in caplog.records if r.name == "multirag.corpus"]
+        if problem is None:  # np.load's own message
+            assert warning.startswith(f"rejected the stored corpus matrix {path} (")
+            assert warning.endswith("); rebuilding it")
+        else:
+            assert warning == (f"rejected the stored corpus matrix {path} ({problem}, "
+                               "want 12 float64 rows); rebuilding it")
+        assert np.array_equal(scores, built @ vector)
+        assert stored_files(tmp_path) == [path]
+        assert np.load(path, allow_pickle=False).tobytes() == built.tobytes()
+
+    def test_valid_file_of_another_dimension_raises(self, tmp_path):
+        build(tmp_path)
+        (path,) = stored_files(tmp_path)
+        rows = np.random.default_rng(0).standard_normal((len(TEXTS), 4))
+        np.save(path, rows / np.linalg.norm(rows, axis=1, keepdims=True))
+        with pytest.raises(DimensionMismatchError):
+            score_all(Counting(), QUESTION, stored_corpus(tmp_path))
+
+    @pytest.mark.parametrize("use", ["matrix", "score_all"])
+    def test_invalid_file_of_another_dimension_is_rebuilt(self, tmp_path, caplog, use):
+        built = build(tmp_path)
+        (path,) = stored_files(tmp_path)
+        np.save(path, np.random.default_rng(0).standard_normal((len(TEXTS), 4)))
+        caplog.set_level(logging.WARNING, logger="multirag.corpus")
+        provider = Counting()
+        if use == "matrix":
+            assert stored_corpus(tmp_path).index().matrix(provider).tobytes() == built.tobytes()
+        else:
+            row = score_all(provider, QUESTION, stored_corpus(tmp_path))
+            assert np.array_equal(row.values, score_all(Counting(), QUESTION,
+                                                        stored_corpus(None)).values)
+        assert "rows that are not unit-norm" in caplog.text
+        assert np.load(path, allow_pickle=False).tobytes() == built.tobytes()
+
+    def test_a_slow_check_is_waited_for(self, tmp_path, caplog, monkeypatch):
+        built = build(tmp_path)
+
+        def slow(block):
+            time.sleep(0.05)
+            return "rows that are not unit-norm"
+
+        monkeypatch.setattr(corpus_module, "_norm_problem", slow)
+        caplog.set_level(logging.WARNING, logger="multirag.corpus")
+        provider = Counting()
+        vector = unit_vector(8)
+        scores = stored_corpus(tmp_path).index().product(provider, vector)
+        assert provider.batches == 1 and "rejected the stored corpus matrix" in caplog.text
+        assert np.array_equal(scores, built @ vector)
+
+    def test_an_error_in_the_check_is_raised_once_its_thread_ends(self, tmp_path, caplog,
+                                                                 monkeypatch):
+        built = build(tmp_path)
+
+        def failing(block):
+            time.sleep(0.05)
+            raise RuntimeError("the check broke")
+
+        monkeypatch.setattr(corpus_module, "_norm_problem", failing)
+        before = set(threading.enumerate())
+        index = stored_corpus(tmp_path).index()
+        provider = Counting()
+        vector = unit_vector(8)
+        with pytest.raises(RuntimeError, match="the check broke"):
+            index.product(provider, vector)
+        assert set(threading.enumerate()) == before
+        monkeypatch.undo()
+        # the slot stayed empty, so the next use loads the file again
+        caplog.set_level(logging.DEBUG, logger="multirag.corpus")
+        assert np.array_equal(index.product(provider, vector), built @ vector)
+        assert "loaded the 12 x 8 corpus matrix of 'det-a'" in caplog.text
+        assert provider.batches == 0
+
+    def test_threads_map_stored_files_one_at_a_time(self, tmp_path, monkeypatch):
+        providers = [Counting(m) for m in ("det-a", "det-b", "det-c", "det-d")]
+        for provider in providers:
+            build(tmp_path, provider)
+        load, inside, most = np.load, [0], [0]
+
+        def watched(*args, **kwargs):
+            inside[0] += 1
+            most[0] = max(most[0], inside[0])
+            time.sleep(0.01)  # a second thread would enter here if it could
+            try:
+                return load(*args, **kwargs)
+            finally:
+                inside[0] -= 1
+
+        monkeypatch.setattr(corpus_module.np, "load", watched)
+        index = stored_corpus(tmp_path).index()
+        scored = {}
+
+        def score(provider):
+            scored[provider.model_id] = index.product(provider, unit_vector(8))
+
+        threads = [threading.Thread(target=score, args=(p,)) for p in providers]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert len(scored) == len(providers) and most[0] == 1
+        assert all(p.batches == 1 for p in providers)  # built once above, then loaded
+
+    def test_concurrent_confident_run_on_a_warm_store_equals_the_serial_one(self, tmp_path,
+                                                                            caplog):
+        from multirag.config import default_template_text
+        from multirag.generation import MockBackend
+        from multirag.pipeline import PipelineConfig, run_confident
+        from multirag.retrieval import PromptTemplate
+        models = ["det-a", "det-b", "det-c", "det-d"]
+
+        def run(concurrency):
+            cfg = PipelineConfig(
+                providers=[Counting(m) for m in models], backend=MockBackend(seed=3),
+                template=PromptTemplate(text=default_template_text()),
+                k=3, quotas=None, concurrency=concurrency)
+            result = run_confident("q", QUESTION, models, stored_corpus(tmp_path), cfg)
+            return (result.answer, result.winner_index, result.retrieved,
+                    [(r.embedding_model, r.prompt, r.completion) for r in result.records])
+
+        cold = run(1)
+        caplog.set_level(logging.DEBUG, logger="multirag.corpus")
+        concurrent = run(4)
+        assert caplog.text.count("alongside it") == len(models)
+        assert concurrent == run(1) == cold
