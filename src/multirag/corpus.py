@@ -17,7 +17,9 @@ import threading
 import time
 import weakref
 from dataclasses import dataclass
-from itertools import chain
+from functools import cached_property
+from itertools import chain, groupby, repeat
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -27,13 +29,23 @@ from .errors import DuplicateChunkError, MalformedLineError, UnknownChunkError
 log = logging.getLogger(__name__)
 
 KINDS = ("qa", "textbook")
-# part of every snapshot key: bump it when a parse rule changes a file's columns
-SNAPSHOT_VERSION = 1
+# A chunk's kind is held, and written to a snapshot, as one ASCII digit: its
+# index in KINDS (so at most ten kinds). Changing KINDS changes what a stored
+# digit means, so it needs a SNAPSHOT_VERSION bump.
+_KIND_DIGIT = {kind: ord(str(code)) for code, kind in enumerate(KINDS)}
+_DIGIT_KIND = {digit: kind for kind, digit in _KIND_DIGIT.items()}
+_KIND_CHARS = frozenset(map(chr, _DIGIT_KIND))
+# part of every snapshot key: bump it when a parse rule or the format changes a file's bytes
+SNAPSHOT_VERSION = 2
 _COLUMNS = ("ids", "texts", "kinds", "sources")
 UNIT_NORM_TOL = 1e-9  # a stored row's norm may differ from 1 by this much
 # rows normalised per step: np.linalg.norm allocates two temporaries the size
 # of its input, so a step over the whole matrix briefly triples its memory
 NORM_ROWS = 256
+# rows per step of a corpus matrix product and of a stored matrix's check;
+# numpy releases the GIL only in a loop of more than 500 rows, which the
+# load's two threads need (see _load_matrix)
+STEP_ROWS = 512
 # np.load parses a .npy header with ast.literal_eval, and CPython 3.11's AST
 # constructor keeps its recursion depth in state all threads share: two threads
 # loading at once can fail with "AST constructor recursion depth mismatch"
@@ -65,6 +77,10 @@ class ChunkIndex:
     vectors, and a question is scored with one matrix-vector product.
     An index built from ids alone (``kinds`` and ``texts`` omitted) serves
     similarity rows given as plain ``{chunk id: score}`` mappings.
+    ``kinds`` holds each chunk's kind, as labels from ``KINDS`` or as the
+    kind digits a ``Corpus`` holds; the index keeps them as ``kind_codes``,
+    a uint8 array of indices into ``KINDS``, and builds ``kinds``, the
+    labels as an array, on first read.
     ``position``, the id -> ordinal dict of ``ids``, is built when not given;
     the index keeps the lists and the dict it is given, not copies.
 
@@ -75,25 +91,31 @@ class ChunkIndex:
     missing or invalid file is built as without a store and then written.
     A stored matrix is memory-mapped read-only, so processes that load one
     file share its page-cache copy; a built one stays in memory.
-    ``product(provider, vector)`` is ``matrix(provider) @ vector``; on a
-    stored matrix's first use it checks the file while it computes the
-    product (see ``_load_matrix``).
+    ``product(provider, vector)`` is ``matrix(provider) @ vector``, taken
+    in steps of ``STEP_ROWS`` rows; on a stored matrix's first use the same
+    pass also checks the file (see ``_load_matrix``).
     """
 
-    def __init__(self, ids: list[str], kinds: list[str] | None = None,
+    def __init__(self, ids: list[str], kinds: list[str] | bytes | None = None,
                  texts: list[str] | None = None, store: str | Path | None = None,
                  digest: str | None = None, position: dict[str, int] | None = None):
         self.ids = ids
         self.position = {cid: i for i, cid in enumerate(ids)} if position is None else position
-        self.kinds = None if kinds is None else np.array(kinds)
+        if kinds is not None and not isinstance(kinds, (bytes, bytearray)):
+            try:
+                kinds = bytes(map(_KIND_DIGIT.__getitem__, kinds))
+            except KeyError as e:
+                raise ValueError(f"unknown chunk kind {e.args[0]!r}") from None
+        self.kind_codes = None if kinds is None else np.frombuffer(kinds, np.uint8) - ord("0")
         # each kind's positions in ascending order, so per-kind selection
         # reads them instead of comparing every chunk's label
         self.kind_positions = None if kinds is None else {
-            kind: np.flatnonzero(self.kinds == kind) for kind in dict.fromkeys(kinds)}
+            kind: np.flatnonzero(self.kind_codes == code) for code, kind in enumerate(KINDS)}
         self._texts = texts
         self._store = None if store is None else Path(store)
         if store is not None and digest is None:
-            digest = _sha256(snapshot_bytes(ids, texts, kinds, []))
+            digest = _sha256(snapshot_bytes(ids, texts, None if kinds is None else kinds.decode(),
+                                            []))
         self._digest = digest
         self._lock = threading.Lock()
         # provider -> [lock, matrix]; the lock makes concurrent first uses build once
@@ -102,14 +124,26 @@ class ChunkIndex:
     def __len__(self) -> int:
         return len(self.ids)
 
+    @cached_property
+    def kinds(self) -> np.ndarray | None:
+        """Each chunk's kind label, in ingestion order."""
+        return None if self.kind_codes is None else np.array(KINDS)[self.kind_codes]
+
     def matrix(self, provider) -> np.ndarray:
         """(chunks, dim) unit-norm vectors of every chunk under ``provider``."""
         return self._filled(provider)[0]
 
     def product(self, provider, vector: np.ndarray) -> np.ndarray:
-        """``matrix(provider) @ vector``, bit for bit."""
+        """``matrix(provider) @ vector``, in steps of ``STEP_ROWS`` rows.
+
+        A row's score is the same whether the matrix was built, loaded or
+        already held, whatever BLAS threading each step gets.
+        """
         block, scores = self._filled(provider, vector)
-        return block @ vector if scores is None else scores
+        if scores is None:
+            scores = np.empty(len(block))
+            _row_steps(block, vector, scores, None, _step_bounds(len(block)))
+        return scores
 
     def _filled(self, provider, vector: np.ndarray | None = None):
         """The provider's matrix, loaded or built on first use, and its
@@ -159,38 +193,94 @@ def _unit_rows(block: np.ndarray) -> np.ndarray:
     return block
 
 
+def _step_bounds(rows: int) -> list[int]:
+    """The row bounds of a matrix's steps: ``STEP_ROWS`` rows each, the last
+    step taking the remainder too.
+
+    Every product of a matrix takes these steps, so a row's score never
+    depends on whether the matrix was loaded or built: a BLAS may split a
+    call among its threads, and a row computed at such a split can differ
+    in its last bit from the same row computed mid-block. Folding the
+    remainder into the last step keeps a single-row step, which numpy
+    computes as a dot product, off every matrix of more than one row.
+    """
+    return [step * STEP_ROWS for step in range(max(1, rows // STEP_ROWS))] + [rows]
+
+
+def _row_steps(block: np.ndarray, vector: np.ndarray | None, scores: np.ndarray | None,
+               squares: np.ndarray | None, bounds: list[int]) -> None:
+    """For each step between ``bounds``, write ``block @ vector`` into
+    ``scores`` and each row's sum of squares into ``squares`` while the
+    step's rows are still in cache; a None output is skipped.
+
+    It calls numpy only: the load runs it on a second thread, and
+    perfbench's tracer wraps package functions with a span stack that is
+    not thread-safe.
+    """
+    for start, stop in zip(bounds, bounds[1:]):
+        rows = block[start:stop]
+        if scores is not None:
+            np.matmul(rows, vector, out=scores[start:stop])
+        if squares is not None:
+            # a batch of 1 x dim by dim x 1 products: as fast as a row-wise
+            # dot kernel, and it releases the GIL for a step of STEP_ROWS rows
+            np.matmul(rows[:, None, :], rows[:, :, None],
+                      out=squares[start:stop, None, None])
+
+
 def _load_matrix(path: Path, rows: int, provider,
                  vector: np.ndarray | None = None) -> tuple[np.ndarray | None, ...]:
     """``(matrix, matrix @ vector)`` for the stored matrix at ``path``, mapped
     read-only, if it passes every rule a built one does, else ``(None, None)``.
 
-    Both the unit-norm check and the product read every page of the file.
-    When ``vector`` fits the matrix, the check runs on a second thread while
-    this one computes the product (numpy releases the GIL in both), and the
-    product is kept only if the check passes. Without a fitting vector the
-    product is None. A dimension that disagrees with the provider's raises
-    ``DimensionMismatchError``, as a freshly embedded block would, but only
-    once the check has passed: an invalid file is rebuilt.
+    One pass reads the file once: each step of ``STEP_ROWS`` rows gives its
+    rows' scores and sums of squares while it is in cache. This thread
+    takes the first half of the steps and a second thread the rest (numpy
+    releases the GIL in both products); a matrix of one step is read on
+    this thread alone. The thread has ended when this returns or raises,
+    and an error on it is raised here. When ``vector`` does not fit the
+    matrix, the pass computes the squares only and the product is None.
+    The scores are kept only if every row is unit-norm. A dimension that
+    disagrees with the provider's raises ``DimensionMismatchError``, as a
+    freshly embedded block would, but only once the check has passed: an
+    invalid file is rebuilt.
     """
     block = _map_matrix(path, rows)
     if block is None:
         return None, None
-    scores = product_s = None
-    if vector is not None and block.shape[1] == len(vector):
-        problem, check_s, scores, product_s = _check_during_product(block, vector)
-    else:
-        t0 = time.perf_counter()
-        problem = _norm_problem(block)
-        check_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    if vector is not None and block.shape[1] != len(vector):
+        vector = None
+    scores = None if vector is None else np.empty(rows)
+    squares = np.empty(rows)
+    bounds = _step_bounds(rows)
+    half = len(bounds) // 2
+    errors: list[BaseException] = []
+
+    def helper():
+        try:
+            _row_steps(block, vector, scores, squares, bounds[half:])
+        except BaseException as e:  # raised again on the caller's thread
+            errors.append(e)
+
+    thread = None
+    if len(bounds) > 2:
+        thread = threading.Thread(target=helper, name="multirag-matrix-load")
+        thread.start()
+    try:
+        _row_steps(block, vector, scores, squares, bounds if thread is None else bounds[:half + 1])
+    finally:
+        if thread is not None:
+            thread.join()
+    if errors:
+        raise errors[0]
+    problem = _norm_problem(block, squares)
     if problem is not None:
         _reject(path, problem, rows)
         return None, None
     provider.hold_dims({block.shape[1]})
-    timings = f"unit-norm check {check_s * 1e3:.1f} ms"
-    if product_s is not None:
-        timings += f", first product {product_s * 1e3:.1f} ms alongside it"
-    log.debug("loaded the %d x %d corpus matrix of %r from %s (%s)",
-              *block.shape, provider.model_id, path, timings)
+    log.debug("loaded the %d x %d corpus matrix of %r from %s (one pass %.1f ms)",
+              *block.shape, provider.model_id, path, (time.perf_counter() - t0) * 1e3)
     return block, scores
 
 
@@ -214,45 +304,14 @@ def _map_matrix(path: Path, rows: int) -> np.ndarray | None:
     return block.view(np.ndarray)
 
 
-def _norm_problem(block: np.ndarray) -> str | None:
-    """Why ``block``'s rows are not all unit-norm, or None if they are."""
+def _norm_problem(block: np.ndarray, squares: np.ndarray) -> str | None:
+    """Why ``block``'s rows, whose sums of squares are ``squares``, are not
+    all unit-norm, or None if they are."""
     # a non-finite entry makes its row's sum of squares inf or nan, failing this too
-    if (np.abs(np.sqrt(np.einsum("ij,ij->i", block, block)) - 1.0) <= UNIT_NORM_TOL).all():
+    if (np.abs(np.sqrt(squares) - 1.0) <= UNIT_NORM_TOL).all():
         return None
     return ("non-finite entries" if not np.isfinite(block).all()
             else "rows that are not unit-norm")
-
-
-def _check_during_product(block: np.ndarray, vector: np.ndarray):
-    """``(_norm_problem(block), its seconds, block @ vector, its seconds)``,
-    the check run on a second thread while this one computes the product.
-
-    The thread runs ``_norm_problem``, which calls numpy only: perfbench's
-    tracer wraps package functions with a span stack that is not
-    thread-safe. The thread has ended when this returns or raises, and an
-    exception in the check is raised here.
-    """
-    outcome: dict = {}
-
-    def check():
-        t0 = time.perf_counter()
-        try:
-            outcome["problem"] = _norm_problem(block)
-        except BaseException as e:  # raised again on the caller's thread
-            outcome["error"] = e
-        outcome["seconds"] = time.perf_counter() - t0
-
-    thread = threading.Thread(target=check, name="multirag-norm-check")
-    thread.start()
-    try:
-        t0 = time.perf_counter()
-        scores = block @ vector
-        product_s = time.perf_counter() - t0
-    finally:
-        thread.join()
-    if "error" in outcome:
-        raise outcome["error"]
-    return outcome["problem"], outcome["seconds"], scores, product_s
 
 
 def _reject(path: Path, problem: str, rows: int) -> None:
@@ -291,44 +350,63 @@ def _sha256(data: bytes) -> str:
 def snapshot_bytes(ids, texts, kinds, sources) -> bytes:
     """The JSON of the four corpus columns: a snapshot file's bytes.
 
-    Their sha256 is the corpus digest that keys the matrix store, whether
-    a snapshot was read, written or never made.
+    ``kinds`` is one string of kind digits (see ``KINDS``) and ``sources``
+    the ``[source, count]`` runs of equal adjacent sources
+    (``_source_runs``). Their sha256 is the corpus digest that keys the
+    matrix store, whether a snapshot was read, written or never made.
     """
     return json.dumps(dict(zip(_COLUMNS, (ids, texts, kinds, sources)))).encode("utf-8")
 
 
-def _snapshot_columns(raw: bytes) -> tuple[list[str], ...]:
-    """The columns a snapshot's bytes hold, held to every rule ingestion
-    keeps; a ValueError names the first rule broken.
+def _source_runs(sources: list[str]) -> list[list]:
+    return [[source, len(list(run))] for source, run in groupby(sources)]
 
-    Each check is one C-level pass (``map``, ``set``), not a generator.
+
+def _snapshot_columns(raw: bytes) -> tuple[tuple, dict[str, int]]:
+    """The columns a snapshot's bytes hold, decoded as ``Corpus`` holds
+    them, and the id -> position dict of their ids, all held to every rule
+    ingestion keeps; a ValueError names the first rule broken.
+
+    Each check is one C-level pass (``map``, ``set``, ``dict``), not a
+    generator.
     """
     obj = json.loads(raw)
     if type(obj) is not dict or obj.keys() != set(_COLUMNS):
         raise ValueError(f"not an object of the columns {_COLUMNS}")
-    columns = tuple(obj[name] for name in _COLUMNS)
-    if {type(column) for column in columns} != {list}:
-        raise ValueError("a column is not a list")
-    if len(set(map(len, columns))) != 1:
+    ids, texts, kinds, runs = (obj[name] for name in _COLUMNS)
+    if tuple(map(type, (ids, texts, kinds, runs))) != (list, list, str, list):
+        raise ValueError("a column of the wrong type")
+    if not len(ids) == len(texts) == len(kinds):
         raise ValueError("columns of unequal length")
-    if not {str}.issuperset(map(type, chain.from_iterable(columns))):
-        raise ValueError("an item that is not a string")
-    ids, texts, kinds, _ = columns
-    if not all(ids) or len(set(ids)) != len(ids):
+    if not {str}.issuperset(map(type, chain(ids, texts))):
+        raise ValueError("an id or text that is not a string")
+    position = dict(zip(ids, range(len(ids))))
+    if not all(ids) or len(position) != len(ids):
         raise ValueError("an empty or duplicate id")
     if not all(map(str.strip, texts)):
         raise ValueError("an empty text")
-    if not set(kinds) <= set(KINDS):
-        raise ValueError("an unknown kind")
-    return columns
+    if not _KIND_CHARS.issuperset(kinds):
+        raise ValueError("an unknown kind code")
+    if not {list}.issuperset(map(type, runs)) or not {2}.issuperset(map(len, runs)):
+        raise ValueError("sources that are not [source, count] pairs")
+    names, counts = list(map(itemgetter(0), runs)), list(map(itemgetter(1), runs))
+    if not {str}.issuperset(map(type, names)):
+        raise ValueError("a source that is not a string")
+    # type(True) is bool, so a bool count fails this too
+    if not {int}.issuperset(map(type, counts)) or min(counts, default=1) < 1:
+        raise ValueError("a source count that is not an integer of at least 1")
+    if sum(counts) != len(ids):
+        raise ValueError("source counts that do not sum to the row count")
+    sources = list(chain.from_iterable(map(repeat, names, counts)))
+    return (ids, texts, kinds.encode("ascii"), sources), position
 
 
-def _read_snapshot(path: Path) -> tuple[bytes, tuple[list[str], ...]] | None:
-    """The bytes and columns of the snapshot at ``path`` if it passes every
-    check, else None."""
+def _read_snapshot(path: Path) -> tuple[bytes, tuple, dict[str, int]] | None:
+    """The bytes of the snapshot at ``path`` and what ``_snapshot_columns``
+    makes of them if they pass every check, else None."""
     try:
         raw = path.read_bytes()
-        return raw, _snapshot_columns(raw)
+        return raw, *_snapshot_columns(raw)
     except FileNotFoundError:
         return None
     except (OSError, ValueError, RecursionError) as e:
@@ -397,30 +475,32 @@ def _check_kind(kind: str) -> None:
 class Corpus:
     """Ordered, immutable-after-ingestion chunk store, held as columns.
 
-    Chunk ids, texts, kinds and sources are parallel lists in ingestion
-    order; a ``Chunk`` is built only when one is read (``get``, iteration,
-    ``chunks``). ``store`` is a directory for the index's corpus matrices
-    (see ``ChunkIndex``) and for ``from_files``' snapshots; without it the
-    matrices live in memory only.
+    Chunk ids, texts and sources are parallel lists in ingestion order, and
+    kinds one ``bytearray`` of kind digits (see ``KINDS``); a ``Chunk`` is
+    built only when one is read (``get``, iteration, ``chunks``). ``store``
+    is a directory for the index's corpus matrices (see ``ChunkIndex``) and
+    for ``from_files``' snapshots; without it the matrices live in memory
+    only.
     """
 
     def __init__(self, store: str | Path | None = None):
         self.store = store
         self._ids: list[str] = []
         self._texts: list[str] = []
-        self._kinds: list[str] = []
+        self._kinds = bytearray()
         self._sources: list[str] = []
         self._position: dict[str, int] = {}
         self._index: ChunkIndex | None = None
         self._index_lock = threading.Lock()
-        # sha256 of snapshot_bytes(columns), known after from_files, else computed on first use
+        # sha256 of _snapshot_bytes(), known after from_files, else computed on first use
         self._digest: str | None = None
 
     def __len__(self) -> int:
         return len(self._ids)
 
     def __iter__(self):
-        return map(Chunk, self._ids, self._texts, self._kinds, self._sources)
+        return map(Chunk, self._ids, self._texts, map(_DIGIT_KIND.__getitem__, self._kinds),
+                   self._sources)
 
     @property
     def chunks(self) -> list[Chunk]:
@@ -429,7 +509,8 @@ class Corpus:
     def ids(self, kind: str | None = None) -> list[str]:
         if kind is None:
             return list(self._ids)
-        return [cid for cid, k in zip(self._ids, self._kinds) if k == kind]
+        digit = _KIND_DIGIT.get(kind)
+        return [cid for cid, d in zip(self._ids, self._kinds) if d == digit]
 
     def position(self, chunk_id: str) -> int:
         """Ingestion ordinal of a chunk (the tie-break order)."""
@@ -440,29 +521,37 @@ class Corpus:
 
     def get(self, chunk_id: str) -> Chunk:
         i = self.position(chunk_id)
-        return Chunk(self._ids[i], self._texts[i], self._kinds[i], self._sources[i])
+        return Chunk(self._ids[i], self._texts[i], _DIGIT_KIND[self._kinds[i]], self._sources[i])
 
     def index(self) -> ChunkIndex:
         """The retrieval index of every chunk added so far, built on first use."""
         with self._index_lock:
             if self._index is None:
                 if self.store is not None and self._digest is None:
-                    self._digest = _sha256(snapshot_bytes(
-                        self._ids, self._texts, self._kinds, self._sources))
+                    self._digest = _sha256(self._snapshot_bytes())
                 # shared, not copied: _append copies a column an index shares before growing it
                 self._index = ChunkIndex(self._ids, self._kinds, self._texts,
                                          store=self.store, digest=self._digest,
                                          position=self._position)
             return self._index
 
-    def add(self, chunk: Chunk) -> None:
-        self._append([chunk.id], [chunk.text], [chunk.kind], [chunk.source])
+    def _snapshot_bytes(self) -> bytes:
+        return snapshot_bytes(self._ids, self._texts, self._kinds.decode("ascii"),
+                              _source_runs(self._sources))
 
-    def _append(self, ids: list[str], texts: list[str], kinds: list[str],
-                sources: list[str]) -> None:
-        """Append validated columns in one step; a duplicate id adds nothing."""
+    def add(self, chunk: Chunk) -> None:
+        self._append([chunk.id], [chunk.text], bytes([_KIND_DIGIT[chunk.kind]]), [chunk.source])
+
+    def _append(self, ids: list[str], texts: list[str], kinds: bytes, sources: list[str],
+                fresh: dict[str, int] | None = None) -> None:
+        """Append validated columns in one step; a duplicate id adds nothing.
+
+        ``fresh`` maps ``ids`` to their positions once appended; it is built
+        when not given.
+        """
         start = len(self._ids)
-        fresh = dict(zip(ids, range(start, start + len(ids))))
+        if fresh is None:
+            fresh = dict(zip(ids, range(start, start + len(ids))))
         if len(fresh) != len(ids) or not self._position.keys().isdisjoint(fresh):
             seen: set[str] = set()
             for cid in ids:  # name the first duplicate in ingestion order
@@ -472,7 +561,7 @@ class Corpus:
         with self._index_lock:
             if self._index is not None:
                 # the index shares these columns: it keeps them, and they grow as copies
-                self._ids, self._texts, self._kinds = self._ids[:], self._texts[:], self._kinds[:]
+                self._ids, self._texts = self._ids[:], self._texts[:]
                 self._position = self._position.copy()
             self._ids += ids
             self._texts += texts
@@ -549,20 +638,20 @@ class Corpus:
         if found is None:
             for (path, kind), data in zip(entries, blobs):
                 corpus._ingest(Path(path), data, kind)
-            raw = snapshot_bytes(corpus._ids, corpus._texts, corpus._kinds, corpus._sources)
+            raw = corpus._snapshot_bytes()
             _write_atomic(snapshot, lambda f: f.write(raw), "corpus snapshot")
         else:
-            raw, columns = found
-            corpus._append(*columns)
+            raw, columns, position = found
+            corpus._append(*columns, fresh=position)
             log.debug("loaded %d chunks from the corpus snapshot %s", len(corpus), snapshot)
         corpus._digest = _sha256(raw)
         return corpus
 
-    def _parse_jsonl(self, text: str, file: Path, default_kind: str) -> tuple[list[str], ...]:
+    def _parse_jsonl(self, text: str, file: Path, default_kind: str) -> tuple:
         path = str(file)
         ids: list[str] = []
         texts: list[str] = []
-        kinds: list[str] = []
+        kinds = bytearray()
         sources: list[str] = []
         assigned: set[str] = set()
         for line_no, obj in jsonl_values(text, file):
@@ -585,11 +674,11 @@ class Corpus:
             assigned.add(chunk_id)
             ids.append(chunk_id)
             texts.append(text)
-            kinds.append(kind)
+            kinds.append(_KIND_DIGIT[kind])
             sources.append(source)
         return ids, texts, kinds, sources
 
-    def _parse_plain(self, raw: str, kind: str, source: str) -> tuple[list[str], ...]:
+    def _parse_plain(self, raw: str, kind: str, source: str) -> tuple:
         ids: list[str] = []
         texts: list[str] = []
         assigned: set[str] = set()
@@ -601,7 +690,7 @@ class Corpus:
             assigned.add(chunk_id)
             ids.append(chunk_id)
             texts.append(text)
-        return ids, texts, [kind] * len(ids), [source] * len(ids)
+        return ids, texts, bytes([_KIND_DIGIT[kind]]) * len(ids), [source] * len(ids)
 
     def kind_counts(self) -> dict[str, int]:
-        return {k: self._kinds.count(k) for k in KINDS}
+        return {k: self._kinds.count(_KIND_DIGIT[k]) for k in KINDS}

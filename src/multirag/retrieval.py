@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Chunk, ChunkIndex, Corpus
+from .corpus import KINDS, Chunk, ChunkIndex, Corpus
 from .errors import TemplateError
 
 
@@ -120,7 +120,7 @@ class SimilarityRow:
         """Positions of the top ``quotas[kind]`` chunks of each kind, in rank order."""
         key = ("kind", tuple(quotas.items()))
         if key not in self._cache:
-            if self.index.kinds is None:
+            if self.index.kind_codes is None:
                 raise ValueError("per-kind quotas require an index with chunk kinds")
             empty = np.empty(0, dtype=np.intp)
             picks = []
@@ -153,9 +153,11 @@ def _best(values: np.ndarray, q: int) -> np.ndarray:
     return candidates[np.argsort(-values[candidates], kind="stable")[:q]]
 
 
-def _first_per_kind(labels: np.ndarray, quotas: dict[str, int]) -> np.ndarray:
-    """Indices of the first ``quotas[kind]`` entries of each kind in ``labels``, ascending."""
-    picks = [np.flatnonzero(labels == kind)[:quota] for kind, quota in quotas.items()]
+def _first_per_kind(codes: np.ndarray, quotas: dict[str, int]) -> np.ndarray:
+    """Indices of the first ``quotas[kind]`` entries of each kind in ``codes``,
+    kind codes as ``ChunkIndex.kind_codes`` holds them, ascending."""
+    picks = [np.flatnonzero(codes == KINDS.index(kind))[:quota]
+             for kind, quota in quotas.items() if kind in KINDS]
     return np.sort(np.concatenate(picks)) if picks else np.empty(0, dtype=np.intp)
 
 
@@ -232,7 +234,7 @@ def fuse(rows: list[SimilarityRow], k: int,
     if quotas is None:
         kept = kept[:k]
     else:
-        kept = kept[_first_per_kind(index.kinds[positions[kept]], quotas)]
+        kept = kept[_first_per_kind(index.kind_codes[positions[kept]], quotas)]
     return [RetrievalCandidate(model_id=rows[m].model_id, chunk_id=index.ids[p],
                                standardized=score)
             for m, p, score in zip(model[kept].tolist(), positions[kept].tolist(),

@@ -390,6 +390,17 @@ def test_index_shares_the_columns_until_the_next_add():
     assert ChunkIndex(["x", "y"]).position == {"x": 0, "y": 1}
 
 
+def test_index_holds_kind_codes_and_reads_labels_from_them():
+    index = ChunkIndex(["a", "b", "c"], ["textbook", "qa", "textbook"])
+    assert index.kind_codes.tolist() == [1, 0, 1]
+    assert {kind: p.tolist() for kind, p in index.kind_positions.items()} == {
+        "qa": [1], "textbook": [0, 2]}
+    assert index.kinds.tolist() == ["textbook", "qa", "textbook"]
+    assert ChunkIndex(["a"]).kinds is None
+    with pytest.raises(ValueError, match="unknown chunk kind 'poem'"):
+        ChunkIndex(["a"], ["poem"])
+
+
 # ---------------------------------------------------------------------------
 # the on-disk matrix store
 # ---------------------------------------------------------------------------
@@ -665,29 +676,91 @@ def unit_vector(dim: int, seed: int = 0) -> np.ndarray:
 
 
 QUESTION = "How many coins does Ann have?"
+STEPPED_ROWS = 1537  # three steps of a product: the caller takes two, the helper one
+
+
+def stepped_index(store, rows=STEPPED_ROWS) -> ChunkIndex:
+    ids = [f"c{i}" for i in range(rows)]
+    texts = [f"chunk {i} holds {i % 7} coins" for i in range(rows)]
+    return ChunkIndex(ids, texts=texts, store=store)
+
+
+def on_helper() -> bool:
+    return threading.current_thread() is not threading.main_thread()
 
 
 class TestOverlappedLoad:
-    """``ChunkIndex.product``: a stored matrix's unit-norm check runs on a
-    second thread while its first product is computed."""
+    """``ChunkIndex.product``: a stored matrix's first product and its
+    unit-norm check are one pass over the file, its steps split between the
+    calling thread and one helper thread."""
 
-    @pytest.mark.parametrize("rows, dim", [(1, 3), (5, 32), (257, 384), (5003, 32)])
+    @pytest.mark.parametrize("rows, dim", [(1, 3), (5, 32), (257, 384), (5003, 32),
+                                           (1537, 384), (2000, 384), (513, 32)])
     def test_loaded_product_equals_built_product_bit_for_bit(self, tmp_path, caplog,
                                                               rows, dim):
-        ids = [f"c{i}" for i in range(rows)]
-        texts = [f"chunk {i} holds {i % 7} coins" for i in range(rows)]
         vector = unit_vector(dim, seed=rows)
-        want = ChunkIndex(ids, texts=texts).matrix(Counting(dim=dim)) @ vector
-        ChunkIndex(ids, texts=texts, store=tmp_path).matrix(Counting(dim=dim))
+        in_memory = stepped_index(None, rows)
+        want = in_memory.product(Counting(dim=dim), vector)
+        built = stepped_index(tmp_path, rows)
+        assert np.array_equal(built.product(Counting(dim=dim), vector), want)
         caplog.set_level(logging.DEBUG, logger="multirag.corpus")
         provider = Counting(dim=dim)
-        index = ChunkIndex(ids, texts=texts, store=tmp_path)
+        index = stepped_index(tmp_path, rows)
         got = index.product(provider, vector)
         assert provider.batches == 0
-        assert "first product" in caplog.text and "alongside it" in caplog.text
+        assert f"loaded the {rows} x {dim} corpus matrix" in caplog.text
+        assert "(one pass " in caplog.text
         assert np.array_equal(got, want)
         assert np.array_equal(index.product(provider, vector), want)  # the in-memory hit
-        assert np.array_equal(index.matrix(provider) @ vector, want)
+        # the steps change a score by at most a rounding step from one full product
+        assert np.allclose(got, index.matrix(provider) @ vector, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("rows", [513, 1025, 1100])
+    def test_steps_equal_one_full_product_where_blas_runs_one_thread(self, rows):
+        # rows x 8 is below the size at which BLAS splits a product among
+        # threads; a one-row last step would be a dot product and differ
+        index = stepped_index(None, rows)
+        vector = unit_vector(8)
+        assert np.array_equal(index.product(Counting(), vector),
+                              index.matrix(Counting()) @ vector)
+
+    def test_the_caller_and_one_helper_each_take_half_the_steps(self, tmp_path,
+                                                                monkeypatch):
+        stepped_index(tmp_path).matrix(Counting())
+        calls = []
+        steps = corpus_module._row_steps
+
+        def recording(block, vector, scores, squares, bounds):
+            calls.append((on_helper(), bounds))
+            steps(block, vector, scores, squares, bounds)
+
+        monkeypatch.setattr(corpus_module, "_row_steps", recording)
+        stepped_index(tmp_path).product(Counting(), unit_vector(8))
+        assert sorted(calls) == [(False, [0, 512, 1024]), (True, [1024, STEPPED_ROWS])]
+
+    @pytest.mark.parametrize("row", [100, STEPPED_ROWS - 200], ids=["caller", "helper"])
+    @pytest.mark.parametrize("corrupt, problem", [
+        ("_nan", "non-finite entries"), ("_not_unit", "rows that are not unit-norm")])
+    def test_a_bad_row_in_either_half_is_rebuilt(self, tmp_path, caplog, row, corrupt,
+                                                  problem):
+        built = stepped_index(tmp_path).matrix(Counting())
+        (path,) = stored_files(tmp_path)
+        bad = built.copy()
+        if corrupt == "_nan":
+            bad[row, 2] = np.nan
+        else:
+            bad[row] *= 1.0 + 1e-6
+        np.save(path, bad)
+        caplog.set_level(logging.WARNING, logger="multirag.corpus")
+        provider = Counting()
+        vector = unit_vector(8)
+        scores = stepped_index(tmp_path).product(provider, vector)
+        assert provider.batches > 0  # embedded again
+        (warning,) = [r.getMessage() for r in caplog.records if r.name == "multirag.corpus"]
+        assert warning == (f"rejected the stored corpus matrix {path} ({problem}, "
+                           f"want {STEPPED_ROWS} float64 rows); rebuilding it")
+        assert np.array_equal(scores, stepped_index(None).product(Counting(), vector))
+        assert np.load(path, allow_pickle=False).tobytes() == built.tobytes()
 
     def test_cold_and_warm_rows_are_equal(self, tmp_path):
         for model_id in ("det-a", "det-b"):
@@ -751,41 +824,74 @@ class TestOverlappedLoad:
         assert np.load(path, allow_pickle=False).tobytes() == built.tobytes()
 
     def test_a_slow_check_is_waited_for(self, tmp_path, caplog, monkeypatch):
-        built = build(tmp_path)
+        stepped_index(tmp_path).matrix(Counting())
+        steps = corpus_module._row_steps
 
-        def slow(block):
-            time.sleep(0.05)
-            return "rows that are not unit-norm"
+        def slow(block, vector, scores, squares, bounds):
+            steps(block, vector, scores, squares, bounds)
+            if on_helper():
+                time.sleep(0.05)
+                squares[bounds[-1] - 1] = 2.0  # the helper's last row is not unit-norm
 
-        monkeypatch.setattr(corpus_module, "_norm_problem", slow)
+        monkeypatch.setattr(corpus_module, "_row_steps", slow)
         caplog.set_level(logging.WARNING, logger="multirag.corpus")
         provider = Counting()
         vector = unit_vector(8)
-        scores = stored_corpus(tmp_path).index().product(provider, vector)
-        assert provider.batches == 1 and "rejected the stored corpus matrix" in caplog.text
-        assert np.array_equal(scores, built @ vector)
+        scores = stepped_index(tmp_path).product(provider, vector)
+        assert provider.batches > 0 and "rejected the stored corpus matrix" in caplog.text
+        monkeypatch.undo()
+        assert np.array_equal(scores, stepped_index(None).product(Counting(), vector))
 
     def test_an_error_in_the_check_is_raised_once_its_thread_ends(self, tmp_path, caplog,
                                                                  monkeypatch):
-        built = build(tmp_path)
+        stepped_index(tmp_path).matrix(Counting())
+        steps, finished = corpus_module._row_steps, []
 
-        def failing(block):
-            time.sleep(0.05)
-            raise RuntimeError("the check broke")
+        def failing(block, vector, scores, squares, bounds):
+            if on_helper():
+                time.sleep(0.05)
+                raise RuntimeError("the check broke")
+            steps(block, vector, scores, squares, bounds)
+            finished.append(bounds)
 
-        monkeypatch.setattr(corpus_module, "_norm_problem", failing)
+        monkeypatch.setattr(corpus_module, "_row_steps", failing)
         before = set(threading.enumerate())
-        index = stored_corpus(tmp_path).index()
+        index = stepped_index(tmp_path)
         provider = Counting()
         vector = unit_vector(8)
         with pytest.raises(RuntimeError, match="the check broke"):
             index.product(provider, vector)
         assert set(threading.enumerate()) == before
+        assert finished == [[0, 512, 1024]]  # the caller's half ran to its end
         monkeypatch.undo()
         # the slot stayed empty, so the next use loads the file again
         caplog.set_level(logging.DEBUG, logger="multirag.corpus")
-        assert np.array_equal(index.product(provider, vector), built @ vector)
-        assert "loaded the 12 x 8 corpus matrix of 'det-a'" in caplog.text
+        assert np.array_equal(index.product(provider, vector),
+                              stepped_index(None).product(Counting(), vector))
+        assert f"loaded the {STEPPED_ROWS} x 8 corpus matrix of 'det-a'" in caplog.text
+        assert provider.batches == 0
+
+    def test_an_error_on_the_caller_waits_for_the_helper(self, tmp_path, monkeypatch):
+        stepped_index(tmp_path).matrix(Counting())
+        steps, finished = corpus_module._row_steps, []
+
+        def failing(block, vector, scores, squares, bounds):
+            if not on_helper():
+                raise RuntimeError("the caller's half broke")
+            time.sleep(0.05)
+            steps(block, vector, scores, squares, bounds)
+            finished.append(bounds)
+
+        monkeypatch.setattr(corpus_module, "_row_steps", failing)
+        before = set(threading.enumerate())
+        index = stepped_index(tmp_path)
+        with pytest.raises(RuntimeError, match="the caller's half broke"):
+            index.product(Counting(), unit_vector(8))
+        assert set(threading.enumerate()) == before
+        assert finished == [[1024, STEPPED_ROWS]]
+        monkeypatch.undo()
+        provider = Counting()
+        index.product(provider, unit_vector(8))
         assert provider.batches == 0
 
     def test_threads_map_stored_files_one_at_a_time(self, tmp_path, monkeypatch):
@@ -819,6 +925,34 @@ class TestOverlappedLoad:
         assert len(scored) == len(providers) and most[0] == 1
         assert all(p.batches == 1 for p in providers)  # built once above, then loaded
 
+    def test_threads_loading_stepped_matrices_at_once(self, tmp_path):
+        providers = [Counting(m) for m in ("det-a", "det-b", "det-c", "det-d")]
+        vector = unit_vector(8)
+        want = {p.model_id: stepped_index(None).product(p, vector) for p in providers}
+        for provider in providers:
+            stepped_index(tmp_path).matrix(provider)
+        index = stepped_index(tmp_path)
+        scored, errors = {}, []
+
+        def score(provider):
+            try:
+                scored[provider.model_id] = index.product(provider, vector)
+            except Exception as e:  # surfaced by the assertion below
+                errors.append(e)
+
+        threads = [threading.Thread(target=score, args=(p,)) for p in providers]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        assert all(np.array_equal(scored[m], want[m]) for m in want)
+
     def test_concurrent_confident_run_on_a_warm_store_equals_the_serial_one(self, tmp_path,
                                                                             caplog):
         from multirag.config import default_template_text
@@ -839,5 +973,5 @@ class TestOverlappedLoad:
         cold = run(1)
         caplog.set_level(logging.DEBUG, logger="multirag.corpus")
         concurrent = run(4)
-        assert caplog.text.count("alongside it") == len(models)
+        assert caplog.text.count("(one pass ") == len(models)
         assert concurrent == run(1) == cold

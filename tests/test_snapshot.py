@@ -11,10 +11,11 @@ import json
 import logging
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from multirag import config
-from multirag.corpus import Chunk, Corpus, decode_text
+from multirag.corpus import Chunk, ChunkIndex, Corpus, decode_text
 from multirag.embedding import DeterministicProvider
 from multirag.errors import MalformedLineError
 
@@ -130,53 +131,108 @@ def _not_an_object(raw):
     return b"[]"
 
 
-def _edited(edit):
-    def apply(raw):
-        columns = json.loads(raw)
-        edit(columns)
-        return json.dumps(columns).encode("utf-8")
-    apply.__name__ = edit.__name__
-    return apply
+_truncated.reason = "Unterminated string"
+_not_an_object.reason = "not an object of the columns"
 
 
-@_edited
+def _edited(reason):
+    """An edit of the snapshot's columns that the check rejects for ``reason``."""
+    def edited(edit):
+        def apply(raw):
+            columns = json.loads(raw)
+            edit(columns)
+            return json.dumps(columns).encode("utf-8")
+        apply.__name__, apply.reason = edit.__name__, reason
+        return apply
+    return edited
+
+
+@_edited("columns of unequal length")
 def _unequal_lengths(c):
-    c["kinds"].pop()
+    c["kinds"] = c["kinds"][:-1]
 
 
-@_edited
+@_edited("an id or text that is not a string")
 def _non_string_item(c):
-    c["sources"][1] = 7
+    c["texts"][1] = 7
 
 
-@_edited
+@_edited("an id or text that is not a string")
 def _list_as_id(c):
     c["ids"][0] = ["a"]
 
 
-@_edited
+@_edited("an empty text")
 def _empty_text(c):
     c["texts"][2] = " \n "
 
 
-@_edited
+@_edited("an unknown kind code")
 def _unknown_kind(c):
-    c["kinds"][0] = "poem"
+    c["kinds"] = "7" + c["kinds"][1:]
 
 
-@_edited
+@_edited("an empty or duplicate id")
 def _duplicate_id(c):
     c["ids"][1] = c["ids"][0]
 
 
-@_edited
+@_edited("not an object of the columns")
 def _missing_column(c):
     del c["sources"]
 
 
+@_edited("a column of the wrong type")
+def _kinds_as_labels(c):
+    c["kinds"] = ["qa" if d == "0" else "textbook" for d in c["kinds"]]
+
+
+@_edited("a source that is not a string")
+def _source_not_a_string(c):
+    c["sources"][1][0] = 7
+
+
+@_edited("a source count that is not an integer of at least 1")
+def _zero_count(c):
+    c["sources"].insert(1, ["extra", 0])
+
+
+@_edited("a source count that is not an integer of at least 1")
+def _bool_count(c):
+    c["sources"][0][1] = True  # True == 1, so the counts still sum to the row count
+
+
+@_edited("a source count that is not an integer of at least 1")
+def _float_count(c):
+    c["sources"][0][1] = 1.0
+
+
+@_edited("source counts that do not sum to the row count")
+def _counts_short_of_the_rows(c):
+    c["sources"][-1][1] -= 1
+
+
+@_edited("source counts that do not sum to the row count")
+def _counts_past_the_rows(c):
+    c["sources"][-1][1] += 1
+
+
+@_edited("sources that are not [source, count] pairs")
+def _source_not_a_pair(c):
+    c["sources"][0].append(1)
+
+
+@_edited("sources that are not [source, count] pairs")
+def _source_as_a_string(c):
+    c["sources"][0] = c["sources"][0][0]
+
+
 @pytest.mark.parametrize("corrupt", [
     _truncated, _not_an_object, _unequal_lengths, _non_string_item, _list_as_id,
-    _empty_text, _unknown_kind, _duplicate_id, _missing_column],
+    _empty_text, _unknown_kind, _duplicate_id, _missing_column, _kinds_as_labels,
+    _source_not_a_string, _zero_count, _bool_count, _float_count,
+    _counts_short_of_the_rows, _counts_past_the_rows, _source_not_a_pair,
+    _source_as_a_string],
     ids=lambda f: f.__name__.strip("_"))
 def test_edited_snapshot_is_rejected_and_rewritten(files, tmp_path, caplog, parses,
                                                    corrupt):
@@ -188,7 +244,7 @@ def test_edited_snapshot_is_rejected_and_rewritten(files, tmp_path, caplog, pars
     caplog.set_level(logging.WARNING, logger="multirag.corpus")
     assert list(Corpus.from_files(files, store)) == want
     assert parses[0] == 4
-    assert f"rejected the corpus snapshot {snapshot}" in caplog.text
+    assert f"rejected the corpus snapshot {snapshot} ({corrupt.reason}" in caplog.text
     assert snapshot.read_bytes() == good
 
 
@@ -273,3 +329,49 @@ def test_unwritable_store_still_loads(files, tmp_path, caplog):
         assert list(Corpus.from_files(files, blocked / "index")) == ingested(files)
     assert caplog.text.count("could not store the corpus snapshot") == 2
     assert blocked.read_text().startswith("a file")
+
+
+def test_snapshot_holds_kind_digits_and_source_runs(files, tmp_path):
+    Corpus.from_files(files, tmp_path / "index")
+    (snapshot,) = snapshots(tmp_path / "index")
+    columns = json.loads(snapshot.read_bytes())
+    jsonl, plain = files[0][0], files[1][0]
+    assert columns["kinds"] == "00111"
+    assert columns["sources"] == [[jsonl, 1], ["shelf", 1], [jsonl, 1], [plain, 2]]
+
+
+def test_many_runs_round_trip_against_ingest(tmp_path):
+    entries = []
+    for n in range(3):
+        path = tmp_path / f"part{n}.jsonl"
+        path.write_text("".join(
+            json.dumps({"text": f"part {n} line {i}", "kind": ("qa", "textbook")[i % 3 == 0],
+                        **({"source": f"s{i // 2}"} if i % 5 else {})}) + "\n"
+            for i in range(40)))
+        entries.append((str(path), ("qa", "textbook")[n % 2]))
+    direct = Corpus(store=tmp_path / "index")
+    for path, kind in entries:
+        direct.ingest(path, kind=kind)
+    cold = Corpus.from_files(entries, tmp_path / "index")
+    warm = Corpus.from_files(entries, tmp_path / "index")
+    (snapshot,) = snapshots(tmp_path / "index")
+    assert len(json.loads(snapshot.read_bytes())["sources"]) > 60
+    provider = DeterministicProvider("det-a", dim=8)
+    for corpus in (cold, warm):
+        assert list(corpus) == list(direct)
+        assert corpus.ids() == direct.ids() and corpus.kind_counts() == direct.kind_counts()
+        assert corpus.index().stored_path(provider) == direct.index().stored_path(provider)
+        assert np.array_equal(corpus.index().kind_codes, direct.index().kind_codes)
+        assert list(corpus.index().kinds) == [c.kind for c in direct]
+
+
+def test_a_bare_index_gets_a_digest(tmp_path):
+    provider = DeterministicProvider("det-a", dim=8)
+    ids, texts = ["a", "b"], ["one", "two"]
+    paths = {ChunkIndex(ids, texts=texts, store=tmp_path).stored_path(provider),
+             ChunkIndex(ids, ["qa", "textbook"], texts, store=tmp_path).stored_path(provider),
+             ChunkIndex(ids, ["qa", "qa"], texts, store=tmp_path).stored_path(provider)}
+    assert len(paths) == 3
+    index = ChunkIndex(ids, ["qa", "textbook"], texts, store=tmp_path)
+    assert index.matrix(provider).shape == (2, 8)
+    assert index.stored_path(provider).exists()
