@@ -77,10 +77,12 @@ class ChunkIndex:
     vectors, and a question is scored with one matrix-vector product.
     An index built from ids alone (``kinds`` and ``texts`` omitted) serves
     similarity rows given as plain ``{chunk id: score}`` mappings.
-    ``kinds`` holds each chunk's kind, as labels from ``KINDS`` or as the
-    kind digits a ``Corpus`` holds; the index keeps them as ``kind_codes``,
-    a uint8 array of indices into ``KINDS``, and builds ``kinds``, the
-    labels as an array, on first read.
+    ``kinds`` holds each chunk's kind in one of two forms. ``Corpus.index``
+    passes the kind digits the corpus holds, so an engine never converts
+    labels; library code that builds an index by hand passes labels from
+    ``KINDS``, as this constructor always took. The index keeps them as
+    ``kind_codes``, a uint8 array of indices into ``KINDS``, and builds
+    ``kinds``, the labels as an array, on first read.
     ``position``, the id -> ordinal dict of ``ids``, is built when not given;
     the index keeps the lists and the dict it is given, not copies.
 
@@ -137,7 +139,10 @@ class ChunkIndex:
         """``matrix(provider) @ vector``, in steps of ``STEP_ROWS`` rows.
 
         A row's score is the same whether the matrix was built, loaded or
-        already held, whatever BLAS threading each step gets.
+        already held, whatever BLAS threading each step gets. It equals one
+        full ``matrix @ vector`` bit for bit where BLAS runs the product on
+        one thread; where BLAS splits it among threads, a row can differ
+        from the full product in its last bit (see ``_step_bounds``).
         """
         block, scores = self._filled(provider, vector)
         if scores is None:
