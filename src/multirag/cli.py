@@ -143,10 +143,10 @@ def cmd_eval(args) -> int:
         include_vanilla_llm=ev["include_vanilla_llm"])
     report = evaluation.aggregate(results, items)
 
-    scored = evaluation.vanilla_records_with_correctness(results, items)
+    # aggregate has graded these already; the CDF reports need the records only
+    records = [res.records[0] for res in results if res.pipeline == "vanilla"]
     cdf_tables = {}
-    if scored:
-        records = [r for r, _ in scored]
+    if records:
         for metric in METRICS:
             cdf_tables[metric] = evaluation.cdf_report(
                 records, metric, sigma=ev["cdf_sigma"])

@@ -16,11 +16,12 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
 from . import transport
-from .errors import DimensionMismatchError, ZeroVectorError
+from .errors import DimensionMismatchError, EmbeddingError, ZeroVectorError
 
 
 @dataclass(frozen=True)
@@ -184,4 +185,12 @@ class RemoteProvider(_CachingProvider):
             raise DimensionMismatchError(
                 f"provider {self.model_id!r}: expected {len(texts)} embeddings, "
                 f"got {len(data) if isinstance(data, list) else type(data).__name__}")
-        return [np.asarray(item["embedding"], dtype=np.float64) for item in data]
+        try:
+            vectors = list(map(itemgetter("embedding"), data))
+        except KeyError:
+            raise EmbeddingError(
+                f"provider {self.model_id!r}: an item of data omits 'embedding'") from None
+        except TypeError:  # only an item that is not an object refuses a str key
+            raise EmbeddingError(
+                f"provider {self.model_id!r}: an item of data is not an object") from None
+        return [np.asarray(v, dtype=np.float64) for v in vectors]

@@ -15,12 +15,15 @@ from __future__ import annotations
 
 import hashlib
 import math
+from array import array
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from operator import itemgetter
 
 import numpy as np
 
 from . import transport
-from .errors import EmptyCompletionError, LogprobsMissingError
+from .errors import EmptyCompletionError, GenerationError, LogprobsMissingError
 
 _SUM_TOL = 1e-6
 
@@ -358,17 +361,18 @@ class OpenAIChatBackend:
             },
             headers=self._headers, timeout=self.timeout,
             retries=self.retries, backoff=self.backoff)
-        choices = body.get("choices") or []
+        choices = _typed(body.get("choices") or [], list, "choices")
         if not choices:
             raise EmptyCompletionError("response has no choices")
-        choice = choices[0]
-        completion = (choice.get("message") or {}).get("content") or ""
-        logprobs = choice.get("logprobs")
-        content = (logprobs or {}).get("content")
-        if logprobs is None or content is None:
+        choice = _typed(choices[0], dict, "choices[0]")
+        message = _typed(choice.get("message") or {}, dict, "choices[0].message")
+        completion = _typed(message.get("content") or "", str, "choices[0].message.content")
+        logprobs = _typed(choice.get("logprobs") or {}, dict, "choices[0].logprobs")
+        content = logprobs.get("content")
+        if content is None:
             raise LogprobsMissingError(
                 "backend response omits logprobs; enable logprobs on the serving side")
-        steps = self._parse_steps(content)
+        steps = self._parse_steps(_typed(content, list, "choices[0].logprobs.content"))
         if not completion.strip() or not steps:
             raise EmptyCompletionError("backend returned an empty completion")
         return completion, steps
@@ -376,32 +380,47 @@ class OpenAIChatBackend:
     def _parse_steps(self, content: list[dict]) -> StepBlock:
         """One reply's ``logprobs.content`` as a block, in one pass.
 
-        Repeated alternatives keep their first position and their last
-        value; a chosen token missing from its alternatives is appended.
+        Each listed alternative is its own token, even where two share a
+        string. The chosen token is the entry with its (``token``,
+        ``bytes``) when it carries ``bytes``; otherwise the first entry
+        with its (``token``, ``logprob``), else the first with its
+        ``token``. A chosen token no entry matches is appended to its row.
         Each row is sorted by descending probability (stable), and its
         tail is ``max(0, 1 - listed sum)``, summed left to right. A
         positive logprob up to ``_SUM_TOL`` is rounding and reads as
-        probability 1; a larger one is an error.
+        probability 1; a larger one is an error. A missing field is a
+        ``LogprobsMissingError`` and a field of the wrong type a
+        ``GenerationError``, each naming the field.
         """
-        lens: list[int] = []
-        names: list[str] = []
-        logprobs: list[float] = []
+        chosen_lps = _floats(_field(content, "logprob", "logprobs.content[]"),
+                             "logprobs.content[].logprob")
+        tokens = _strs(list(map(dict.get, content, repeat("token"), repeat(""))),
+                       "logprobs.content[].token")
+        tops = _field(content, "top_logprobs", "logprobs.content[]")
+        if not set(map(type, tops)) <= {list}:
+            raise _type_error(tops, (list,), "logprobs.content[].top_logprobs")
+        entries = list(chain.from_iterable(tops))
+        names = _strs(_field(entries, "token", "top_logprobs[]"), "top_logprobs[].token")
+        lps = _floats(_field(entries, "logprob", "top_logprobs[]"), "top_logprobs[].logprob")
+        lens = list(map(len, tops))
         chosen: list[int] = []  # flat position of each chosen token
-        chosen_lp: list[float] = []
-        for item in content:
-            if "logprob" not in item or "top_logprobs" not in item:
-                raise LogprobsMissingError("token entry omits logprob fields")
-            token = item.get("token", "")
-            alts = {e["token"]: e["logprob"] for e in item["top_logprobs"]}
-            alts.setdefault(token, item["logprob"])
-            keys = list(alts)
-            chosen.append(len(names) + keys.index(token))
-            chosen_lp.append(item["logprob"])
-            names.extend(keys)
-            logprobs.extend(alts.values())
-            lens.append(len(keys))
-        prob = _probabilities([names[i] for i in chosen], chosen_lp)
-        codes, probs = _pad(lens, _probabilities(names, logprobs))
+        appended: list[tuple[int, int]] = []  # (flat position, step) of unlisted chosen tokens
+        start = 0
+        for i, n in enumerate(lens):
+            at = _chosen_at(content[i], tokens[i], chosen_lps[i], names, lps, entries,
+                            start, start + n)
+            if at < 0:
+                appended.append((start + n, i))
+                chosen.append(start + n + len(appended) - 1)
+                lens[i] += 1
+            else:  # each earlier appended token shifts this row one place on
+                chosen.append(at + len(appended))
+            start += n
+        for at, i in reversed(appended):
+            names.insert(at, tokens[i])
+            lps.insert(at, chosen_lps[i])
+        prob = _probabilities([names[i] for i in chosen], chosen_lps)
+        codes, probs = _pad(lens, _probabilities(names, lps))
         listed = codes >= 0
         order = np.argsort(np.where(listed, -probs, np.nan), axis=1, kind="stable")
         rows = np.arange(len(lens))[:, None]
@@ -411,14 +430,76 @@ class OpenAIChatBackend:
                          np.where(rest > 0.0, rest, 0.0), np.full(len(lens), self.vocab_size))
 
 
-def _probabilities(tokens: list[str], logprobs: list[float]) -> np.ndarray:
+def _type_error(values: list, kinds: tuple[type, ...], where: str) -> GenerationError:
+    """The error for the first of ``values`` whose type is none of ``kinds``."""
+    bad = next(type(v) for v in values if not isinstance(v, kinds))
+    names = " or ".join(k.__name__ for k in kinds)
+    return GenerationError(
+        f"response field {where} holds a value of type {bad.__name__}, not {names}")
+
+
+def _typed(value, kind: type, where: str):
+    """``value`` if its type is exactly ``kind``, else a GenerationError naming the field."""
+    if type(value) is not kind:
+        raise GenerationError(
+            f"response field {where} is {type(value).__name__}, not {kind.__name__}")
+    return value
+
+
+def _field(objects: list[dict], key: str, where: str) -> list:
+    """``object[key]`` of each JSON object, in one C-level pass; a missing key
+    is a LogprobsMissingError and a value that is not an object a
+    GenerationError, each naming the field."""
+    try:
+        return list(map(itemgetter(key), objects))
+    except KeyError:
+        raise LogprobsMissingError(f"response field {where} omits {key!r}") from None
+    except TypeError:  # only a value that is not an object refuses a str key
+        raise _type_error(objects, (dict,), where) from None
+
+
+def _strs(values: list, where: str) -> list[str]:
+    """``values`` if each is a str: ``join`` checks them in one C-level pass."""
+    try:
+        "".join(values)
+    except TypeError:
+        raise _type_error(values, (str,), where) from None
+    return values
+
+
+def _floats(values: list, where: str) -> array:
+    """``values`` as float64s, refusing strings and nulls in the same pass."""
+    try:
+        return array("d", values)
+    except TypeError:
+        raise _type_error(values, (float, int), where) from None
+
+
+def _chosen_at(item: dict, token: str, logprob: float, names: list[str], lps: array,
+               entries: list[dict], start: int, end: int) -> int:
+    """Flat position in ``names[start:end]`` of the step's chosen token, or -1."""
+    try:
+        first = names.index(token, start, end)
+    except ValueError:
+        return -1
+    key = item.get("bytes")
+    if key is not None:
+        return next((j for j in range(first, end)
+                     if names[j] == token and entries[j].get("bytes") == key), -1)
+    if lps[first] == logprob:
+        return first
+    return next((j for j in range(first + 1, end)
+                 if names[j] == token and lps[j] == logprob), first)
+
+
+def _probabilities(tokens: list[str], logprobs: array) -> np.ndarray:
     """``math.exp`` of each logprob; a positive one up to ``_SUM_TOL`` reads as 1."""
-    lps = np.array(logprobs, dtype=np.float64)
+    lps = np.frombuffer(logprobs, dtype=np.float64)
     too_big = np.flatnonzero(lps > _SUM_TOL)
     if len(too_big):
         i = int(too_big[0])
         raise ValueError(
             f"token {tokens[i]!r} has logprob {lps[i]} > 0, not a log probability")
-    out = np.fromiter(map(math.exp, lps.tolist()), dtype=np.float64, count=len(lps))
+    out = np.fromiter(map(math.exp, logprobs), dtype=np.float64, count=len(lps))
     out[lps > 0.0] = 1.0
     return out

@@ -38,8 +38,16 @@ def post_json(url: str, payload: dict, headers: dict[str, str],
     immediately. A retried response carrying an integer ``Retry-After``
     is waited out for that many seconds instead, but never for less than
     the backoff nor for longer than ``timeout``.
+
+    A reply body is read as UTF-8 JSON by ``orjson``, whatever charset
+    the reply declares (RFC 8259), and an integer beyond 64 bits comes
+    back as a float. A body ``orjson`` rejects is decoded by requests'
+    ``Response.json()`` instead, which accepts ``NaN`` and ``Infinity``
+    literals, lone surrogate escapes, a BOM, UTF-16 and UTF-32, and
+    replaces invalid UTF-8. A body neither accepts is a ``TransportError``.
     """
-    import requests  # imported here so that loading the package stays light
+    import orjson  # imported here, as requests is, so that loading the package stays light
+    import requests
 
     last: Exception | None = None
     for attempt in range(retries + 1):
@@ -51,9 +59,12 @@ def post_json(url: str, payload: dict, headers: dict[str, str],
         else:
             if resp.status_code < 400:
                 try:
-                    body = resp.json()
-                except ValueError as e:
-                    raise TransportError(f"{url}: response is not JSON: {e}") from e
+                    body = orjson.loads(resp.content)
+                except orjson.JSONDecodeError:
+                    try:
+                        body = resp.json()
+                    except ValueError as e:
+                        raise TransportError(f"{url}: response is not JSON: {e}") from e
                 if not isinstance(body, dict):
                     raise TransportError(f"{url}: response is not a JSON object")
                 return body

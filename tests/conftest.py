@@ -37,14 +37,16 @@ class _StubHandler(BaseHTTPRequestHandler):
             "body": body,
         })
         handler = self.server.routes.get(self.path)
-        # a route returns (status, payload) or (status, payload, extra headers)
+        # a route returns (status, payload) or (status, payload, extra headers);
+        # a bytes payload is sent as it is, and a header set to None is left out
         reply = (404, {"error": "no route"}) if handler is None else handler(body)
         status, payload, *extra = reply
-        data = json.dumps(payload).encode()
+        data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
+        headers = {"Content-Type": "application/json", **(extra[0] if extra else {})}
         self.send_response(status)
-        for name, value in (extra[0] if extra else {}).items():
-            self.send_header(name, value)
-        self.send_header("Content-Type", "application/json")
+        for name, value in headers.items():
+            if value is not None:
+                self.send_header(name, value)
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
         self.wfile.write(data)

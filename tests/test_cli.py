@@ -200,6 +200,18 @@ class TestEval:
         for metric in ("avg-log-p", "self-certainty", "gini", "entropy", "dp"):
             assert (outdir / f"cdf_{metric}.csv").exists()
 
+    def test_cdf_reports_take_the_records_ungraded(self, tmp_path, monkeypatch):
+        """aggregate grades every record; the CDF reports must not grade again."""
+        from multirag import evaluation
+
+        def graded_twice(*args):
+            raise AssertionError("vanilla records graded a second time")
+
+        monkeypatch.setattr(evaluation, "vanilla_records_with_correctness", graded_twice)
+        cfg = write_config(tmp_path)
+        assert main(["eval", "--config", str(cfg)]) == 0
+        assert (tmp_path / "out" / "cdf_dp.csv").read_text().count("\n") > 1
+
     def test_rerun_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["eval", "--config", str(cfg), "--out",
@@ -386,7 +398,7 @@ class TestReport:
 def test_cli_import_skips_scipy_and_requests():
     src = Path(__file__).resolve().parent.parent / "src"
     code = ("import sys, multirag.cli; "
-            "print(sorted(m for m in ('scipy', 'requests') if m in sys.modules))")
+            "print(sorted(m for m in ('scipy', 'requests', 'orjson') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={"PYTHONPATH": str(src)}).stdout
     assert out.strip() == "[]"

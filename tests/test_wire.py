@@ -1,17 +1,21 @@
 """Wire-contract tests against an in-process stub HTTP server."""
 
+import json
 import math
 import re
 
 import numpy as np
+import orjson
 import pytest
 
-from multirag import transport
+from multirag import confidence, transport
 from multirag.embedding import RemoteProvider
 from multirag.errors import (
     ConfigError,
     DimensionMismatchError,
+    EmbeddingError,
     EmptyCompletionError,
+    GenerationError,
     LogprobsMissingError,
     TransportError,
     ZeroVectorError,
@@ -22,14 +26,23 @@ from conftest import chat_route, embeddings_route
 
 
 def reference_parse_step(item: dict, vocab_size: int) -> TokenStep:
-    """The per-step wire parser the block parser replaced."""
+    """One step by the per-entry rule: every listed alternative is its own
+    token, and the chosen token is matched by (token, bytes) when it
+    carries bytes, else by (token, logprob), else by token; unmatched, it
+    is appended."""
     if "logprob" not in item or "top_logprobs" not in item:
         raise LogprobsMissingError("token entry omits logprob fields")
     token = item.get("token", "")
     chosen_prob = math.exp(float(item["logprob"]))
-    alts = {e["token"]: math.exp(float(e["logprob"])) for e in item["top_logprobs"]}
-    alts.setdefault(token, chosen_prob)
-    dist = tuple(sorted(alts.items(), key=lambda kv: -kv[1]))
+    entries = item["top_logprobs"]
+    if item.get("bytes") is not None:
+        listed = any((e["token"], e.get("bytes")) == (token, item["bytes"]) for e in entries)
+    else:
+        listed = any(e["token"] == token for e in entries)
+    dist = [(e["token"], math.exp(float(e["logprob"]))) for e in entries]
+    if not listed:
+        dist.append((token, chosen_prob))
+    dist = tuple(sorted(dist, key=lambda kv: -kv[1]))
     tail = max(0.0, 1.0 - sum(p for _, p in dist))
     return TokenStep(token=token, prob=min(chosen_prob, 1.0), dist=dist,
                      tail_mass=tail, vocab_size=vocab_size)
@@ -54,10 +67,21 @@ def random_item(rng) -> dict:
         logprob = listed[token] if rng.random() < 0.8 else logprobs[tokens.index(token)]
     else:  # the chosen token is missing from top_logprobs
         token = "zz" if rng.random() < 0.5 else str(rng.choice(ALPHABET))
-        rest = 1.0 - sum(math.exp(lp) for lp in listed.values())
+        rest = 1.0 - sum(math.exp(lp) for lp in logprobs)
         logprob = math.log(max(rest, 1e-300) * rng.uniform(0.1, 1.0))
     return {"token": token, "logprob": logprob,
             "top_logprobs": [{"token": t, "logprob": lp} for t, lp in zip(tokens, logprobs)]}
+
+
+def with_bytes(item: dict, rng) -> dict:
+    """``item`` with every alternative a distinct token: each carries its
+    text's bytes plus its own position. The chosen token carries the bytes
+    of a listed entry with its text, or, now and then, bytes none carries."""
+    entries = [dict(e, bytes=[*e["token"].encode(), j])
+               for j, e in enumerate(item["top_logprobs"])]
+    same = [e["bytes"] for e in entries if e["token"] == item["token"]]
+    key = same[int(rng.integers(0, len(same)))] if same and rng.random() < 0.8 else [255]
+    return dict(item, top_logprobs=entries, bytes=key)
 
 
 def outcome(parse):
@@ -82,6 +106,58 @@ class TestBlockParser:
             assert outcome(lambda: self.backend._parse_steps(content)) == want
             errors += isinstance(want, str)
         assert 0 < errors < 250  # both valid and invalid replies were compared
+
+    def test_random_replies_with_bytes(self):
+        rng = np.random.default_rng(29)
+        errors = 0
+        for _ in range(300):
+            content = [with_bytes(random_item(rng), rng) for _ in range(int(rng.integers(1, 12)))]
+            want = outcome(lambda: [reference_parse_step(i, 50) for i in content])
+            assert outcome(lambda: self.backend._parse_steps(content)) == want
+            errors += isinstance(want, str)
+        assert 0 < errors < 150
+
+    @staticmethod
+    def step(token, logprob, *alternatives, **extra) -> dict:
+        return {"token": token, "logprob": math.log(logprob), **extra,
+                "top_logprobs": [{"token": t, "logprob": math.log(p), **dict(*e)}
+                                 for t, p, *e in alternatives]}
+
+    def test_repeated_strings_are_separate_tokens(self):
+        # two byte-level pieces that both render as U+FFFD
+        item = self.step("a", 0.5, ("a", 0.5), ("\ufffd", 0.3), ("\ufffd", 0.15))
+        backend = OpenAIChatBackend("llm-x", endpoint="http://unused", vocab_size=32000)
+        block = backend._parse_steps([item])
+        assert [t for t, _ in block[0].dist] == ["a", "\ufffd", "\ufffd"]
+        assert block[0].tail_mass == pytest.approx(0.05)
+        # the tail is spread over the 31 997 unlisted tokens; collapsed into one
+        # entry, the 0.3 went to the tail too and entropy read 4.63
+        want = -sum(p * math.log(p) for p in (0.5, 0.3, 0.15)) - 0.05 * math.log(0.05 / 31997)
+        assert confidence.entropy(block) == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("logprob, extra, at", [
+        (0.15, {}, 2),                      # (token, logprob) picks the second
+        (0.3, {}, 1),                       # ... or the first
+        (0.2, {}, 1),                       # no logprob matches: the first with the text
+        (0.3, {"bytes": [0xbf]}, 2),        # bytes outrank an equal logprob
+        (0.15, {"bytes": [0xef]}, 1),
+        (0.15, {"bytes": None}, 2),         # null bytes are not carried
+    ])
+    def test_chosen_token_sharing_its_text(self, logprob, extra, at):
+        item = self.step("\ufffd", logprob, ("a", 0.5, {"bytes": [97]}),
+                         ("\ufffd", 0.3, {"bytes": [0xef]}),
+                         ("\ufffd", 0.15, {"bytes": [0xbf]}), **extra)
+        block = self.backend._parse_steps([item])
+        assert block.chosen.tolist() == [at] and len(block.table) == 3
+        assert block.prob[0] == pytest.approx(logprob)
+
+    def test_chosen_bytes_no_entry_carries_are_appended(self):
+        item = self.step("\ufffd", 0.1, ("a", 0.5, {"bytes": [97]}),
+                         ("\ufffd", 0.3, {"bytes": [0xef]}), bytes=[0xbf])
+        block = self.backend._parse_steps([item, self.step("a", 0.5, ("a", 0.5))])
+        assert block.table == ("a", "\ufffd", "\ufffd", "a")
+        assert block.chosen.tolist() == [2, 3] and block.lens.tolist() == [3, 1]
+        assert block[0].tail_mass == pytest.approx(0.1)
 
     def test_rounded_logprob_reads_as_one(self):
         item = {"token": "a", "logprob": 1e-9,
@@ -322,3 +398,205 @@ class TestTransport:
             provider.embed(["a"])
         assert len(stub_server.requests) == 1
         assert sleeps == []
+
+
+def chat_reply(*, choices=None, message=None, top=None, **item) -> dict:
+    """A one-step chat reply; each keyword replaces its field."""
+    entry = {"token": "4", "logprob": -0.1,
+             "top_logprobs": [{"token": "4", "logprob": -0.1}] if top is None else top, **item}
+    choice = {"message": {"content": "4"} if message is None else message,
+              "logprobs": {"content": [entry]}}
+    return {"choices": [choice] if choices is None else choices}
+
+
+class TestMalformedReplies:
+    """A malformed reply raises a package error that names the field."""
+
+    @pytest.mark.parametrize("reply, error, field", [
+        (chat_reply(top=[{"logprob": -0.1}]), LogprobsMissingError,
+         "top_logprobs[] omits 'token'"),
+        (chat_reply(top=[{"token": "4"}]), LogprobsMissingError,
+         "top_logprobs[] omits 'logprob'"),
+        (chat_reply(top=["4"]), GenerationError, "top_logprobs[] holds a value of type str"),
+        (chat_reply(top=[None]), GenerationError, "top_logprobs[] holds a value of type NoneType"),
+        (chat_reply(top_logprobs=None), GenerationError,
+         "content[].top_logprobs holds a value of type NoneType"),
+        (chat_reply(top=[{"token": None, "logprob": -0.1}]), GenerationError,
+         "top_logprobs[].token holds a value of type NoneType"),
+        (chat_reply(token=None), GenerationError, "content[].token holds a value of type NoneType"),
+        (chat_reply(top=[{"token": "4", "logprob": "-0.1"}]), GenerationError,
+         "top_logprobs[].logprob holds a value of type str"),
+        (chat_reply(logprob="-0.1"), GenerationError,
+         "content[].logprob holds a value of type str"),
+        (chat_reply(choices="x"), GenerationError, "field choices is str"),
+        (chat_reply(choices=[None]), GenerationError, "field choices[0] is NoneType"),
+        (chat_reply(message="hi"), GenerationError, "field choices[0].message is str"),
+        (chat_reply(message={"content": 42}), GenerationError,
+         "choices[0].message.content is int"),
+        ({"choices": [{"message": {"content": "4"}, "logprobs": "x"}]}, GenerationError,
+         "choices[0].logprobs is str"),
+        ({"choices": [{"message": {"content": "4"}, "logprobs": {"content": "x"}}]},
+         GenerationError, "choices[0].logprobs.content is str"),
+        ({"choices": [{"message": {"content": "4"}, "logprobs": {"content": [3]}}]},
+         GenerationError, "logprobs.content[] holds a value of type int"),
+    ], ids=["alt-no-token", "alt-no-logprob", "alt-str", "alt-null", "top-null",
+            "alt-token-null", "token-null", "alt-logprob-str", "logprob-str",
+            "choices-str", "choice-null", "message-str", "content-int", "logprobs-str",
+            "logprobs-content-str", "content-item-int"])
+    def test_chat(self, stub_server, reply, error, field):
+        stub_server.route("/v1/chat/completions", lambda body: (200, reply))
+        backend = OpenAIChatBackend("llm-x", endpoint=stub_server.url, retries=0)
+        with pytest.raises(error, match=re.escape(field)):
+            backend.complete("q", DecodeParams())
+
+    @pytest.mark.parametrize("item, field", [
+        ({"vector": [1.0, 2.0]}, "omits 'embedding'"),
+        ([1.0, 2.0], "is not an object"),
+    ], ids=["no-embedding", "item-list"])
+    def test_embeddings(self, stub_server, item, field):
+        stub_server.route("/v1/embeddings", lambda body: (200, {"data": [item]}))
+        provider = RemoteProvider("emb-x", endpoint=stub_server.url, retries=0)
+        with pytest.raises(EmbeddingError, match=re.escape(field)):
+            provider.embed(["a"])
+
+
+def number_text(rng, negative: bool) -> str:
+    """A JSON number: a shortest repr, 25 significant digits, a subnormal,
+    40 decimal digits, or an integer beyond 64 bits."""
+    kind = int(rng.integers(0, 5))
+    if kind == 0:
+        text = repr(float(rng.exponential(3.0)))
+    elif kind == 1:
+        text = "%.24e" % rng.exponential(3.0)
+    elif kind == 2:
+        text = "%.30e" % (rng.uniform(0.0, 1.0) * 2.2250738585072014e-308)
+    elif kind == 3:
+        text = "0." + "".join(map(str, rng.integers(0, 10, size=40)))
+    else:
+        digits = rng.integers(0, 10, size=int(rng.integers(20, 60)))
+        text = str(int(rng.integers(1, 10))) + "".join(map(str, digits))
+    return "-" + text if negative or rng.random() < 0.5 else text
+
+
+def numbers(obj):
+    """Every number in ``obj`` in document order, and its non-numbers."""
+    if isinstance(obj, dict):
+        return numbers([*obj.items()])
+    if isinstance(obj, (list, tuple)):
+        parts = [numbers(v) for v in obj]
+        return [n for ns, _ in parts for n in ns], [o for _, o in parts]
+    if type(obj) in (int, float):
+        return [obj], None
+    return [], obj
+
+
+def bits(values) -> list[int]:
+    """Each value as the client reads it: float64 through numpy, as its bits."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+class TestDecode:
+    """Replies are decoded by orjson, and by requests where orjson refuses."""
+
+    def test_orjson_values_equal_stdlib_values(self):
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            content = [random_item(rng) for _ in range(int(rng.integers(1, 6)))]
+            lps = [number_text(rng, negative=True) for item in content
+                   for _ in range(1 + len(item["top_logprobs"]))]
+            text = json.dumps({"choices": [{"logprobs": {"content": content}}]})
+            # every logprob of the reply, finite or not, becomes a generated number
+            text = re.sub(r"-Infinity|-?\d[-+.\deE]*(?=[,}])", lambda m: lps.pop(0), text)
+            assert not lps
+            vector = ",".join(number_text(rng, negative=False) for _ in range(16))
+            body = f'{{"data": [{{"embedding": [{vector}]}}], "reply": {text}}}'.encode()
+            fast, slow = numbers(orjson.loads(body)), numbers(json.loads(body))
+            assert bits(fast[0]) == bits(slow[0]) and fast[1] == slow[1]
+
+    def test_client_reads_the_same_arrays(self, stub_server):
+        rng = np.random.default_rng(43)
+        backend = OpenAIChatBackend("llm-x", endpoint=stub_server.url, retries=0,
+                                    vocab_size=50)
+        provider = RemoteProvider("emb-x", endpoint=stub_server.url, retries=0)
+        vectors = [",".join(number_text(rng, negative=False) for _ in range(8))
+                   for _ in range(3)]
+        data = ("{\"data\": [" + ",".join(f'{{"embedding": [{v}]}}' for v in vectors)
+                + "]}").encode()
+        stub_server.route("/v1/embeddings", lambda body: (200, data))
+        want = [np.asarray(i["embedding"], dtype=np.float64) for i in json.loads(data)["data"]]
+        got = provider.embed_matrix(["a", "b", "c"])
+        assert bits(got) == bits(want)
+
+        text = json.dumps(chat_reply(logprob=-1.0, top=[
+            {"token": "4", "logprob": -1.0},
+            {"token": "5", "logprob": -123456789012345678901234567890},
+            {"token": "6", "logprob": -2.0}]))
+        text = text.replace("-1.0", "-2.22507385850720113605740979670913197593481954635e-308")
+        text = text.replace("-2.0", "-40.123456789012345678901234567")
+        stub_server.route("/v1/chat/completions", lambda body: (200, text.encode()))
+        _, block = backend.complete("q", DecodeParams())
+        content = json.loads(text)["choices"][0]["logprobs"]["content"]
+        ref = backend._parse_steps(content)
+        for name in ("prob", "probs", "tails"):
+            assert bits(getattr(block, name)) == bits(getattr(ref, name))
+
+    @pytest.mark.parametrize("data, headers, want", [
+        (b'{"lp": -Infinity, "top": [{"lp": NaN}]}', {},
+         {"lp": -math.inf, "top": [{"lp": math.nan}]}),
+        (b'{"token": "\\ud800"}', {}, {"token": "\ud800"}),
+        (b'{"token": "a\xffb"}', {}, {"token": "a\ufffdb"}),
+        (b'{"v": 1e400}', {}, {"v": math.inf}),
+        (b'\xef\xbb\xbf{"v": 1}', {"Content-Type": None}, {"v": 1}),
+        ('{"v": "\xe9"}'.encode("utf-16"), {"Content-Type": None}, {"v": "\xe9"}),
+        ('{"v": "\xe9"}'.encode("utf-32"), {"Content-Type": None}, {"v": "\xe9"}),
+        ('{"v": "\xe9"}'.encode("latin-1"),
+         {"Content-Type": "application/json; charset=iso-8859-1"}, {"v": "\xe9"}),
+    ], ids=["nan-inf", "lone-surrogate", "invalid-utf8", "overflow", "bom", "utf16",
+            "utf32", "latin1"])
+    def test_fallback_gives_the_stdlib_result(self, stub_server, data, headers, want):
+        """What orjson refuses, requests' decode reads as it always did."""
+        stub_server.route("/x", lambda body: (200, data, headers))
+        got = transport.post_json(f"{stub_server.url}/x", {}, {}, retries=0)
+        assert repr(got) == repr(want)  # repr, so that NaN equals NaN
+        assert len(stub_server.requests) == 1
+
+    def test_nonfinite_logprobs_read_as_before(self, stub_server):
+        backend = OpenAIChatBackend("llm-x", endpoint=stub_server.url, retries=0,
+                                    vocab_size=50)
+        top = [{"token": "4", "logprob": -0.1}, {"token": "5", "logprob": -math.inf}]
+        data = json.dumps(chat_reply(top=top)).encode()  # Python writes -Infinity
+        stub_server.route("/v1/chat/completions", lambda body: (200, data))
+        _, steps = backend.complete("q", DecodeParams())
+        assert steps[0].dist == (("4", math.exp(-0.1)), ("5", 0.0))
+
+        data = json.dumps(chat_reply(top=top, logprob=math.nan)).encode()
+        stub_server.route("/v1/chat/completions", lambda body: (200, data))
+        with pytest.raises(ValueError, match=re.escape("chosen-token probability nan")):
+            backend.complete("q", DecodeParams())
+
+    @pytest.mark.parametrize("data, headers, message", [
+        (b"<html>busy</html>", {}, "Expecting value: line 1 column 1 (char 0)"),
+        (b"", {}, "Expecting value: line 1 column 1 (char 0)"),
+        (b'\xef\xbb\xbf{"v": 1}', {}, "Unexpected UTF-8 BOM"),
+        ('{"v": 1}'.encode("utf-16"), {}, "Expecting value"),
+    ], ids=["html", "empty", "bom-declared-utf8", "utf16-declared-utf8"])
+    def test_neither_decoder_accepts(self, stub_server, data, headers, message):
+        stub_server.route("/x", lambda body: (200, data, headers))
+        with pytest.raises(TransportError, match=re.escape(f"response is not JSON: {message}")):
+            transport.post_json(f"{stub_server.url}/x", {}, {}, retries=0)
+        assert len(stub_server.requests) == 1
+
+    def test_declared_charset_yields_to_valid_utf8(self, stub_server):
+        """A departure from requests' decode: UTF-8 wins over the declared charset."""
+        data = '{"v": "\xe9"}'.encode("utf-8")
+        stub_server.route("/x", lambda body: (
+            200, data, {"Content-Type": "application/json; charset=iso-8859-1"}))
+        assert transport.post_json(f"{stub_server.url}/x", {}, {}, retries=0) == {"v": "\xe9"}
+
+    def test_integer_beyond_64_bits_reads_as_float(self, stub_server):
+        """A departure from the stdlib decode, invisible to the client's float64 reads."""
+        data = b'{"v": 18446744073709551616, "w": 18446744073709551615}'
+        stub_server.route("/x", lambda body: (200, data))
+        got = transport.post_json(f"{stub_server.url}/x", {}, {}, retries=0)
+        assert got == {"v": 2.0 ** 64, "w": 2 ** 64 - 1}
+        assert type(got["v"]) is float and type(got["w"]) is int
