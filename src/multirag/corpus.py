@@ -34,7 +34,9 @@ KINDS = ("qa", "textbook")
 # digit means, so it needs a SNAPSHOT_VERSION bump.
 _KIND_DIGIT = {kind: ord(str(code)) for code, kind in enumerate(KINDS)}
 _DIGIT_KIND = {digit: kind for kind, digit in _KIND_DIGIT.items()}
-_KIND_CHARS = frozenset(map(chr, _DIGIT_KIND))
+# str.translate table that deletes every kind digit: a kinds column is valid
+# when nothing is left
+_DROP_KIND_CHARS = dict.fromkeys(_DIGIT_KIND)
 # part of every snapshot key: bump it when a parse rule or the format changes a file's bytes
 SNAPSHOT_VERSION = 2
 _COLUMNS = ("ids", "texts", "kinds", "sources")
@@ -46,6 +48,10 @@ NORM_ROWS = 256
 # numpy releases the GIL only in a loop of more than 500 rows, which the
 # load's two threads need (see _load_matrix)
 STEP_ROWS = 512
+# a snapshot of at least this many bytes is hashed on a helper thread while it
+# is checked; below it, starting the thread costs more than the hash (on a
+# 2-vCPU VM the two broke even at about 0.65 MB)
+HASH_THREAD_BYTES = 768 * 1024
 # np.load parses a .npy header with ast.literal_eval, and CPython 3.11's AST
 # constructor keeps its recursion depth in state all threads share: two threads
 # loading at once can fail with "AST constructor recursion depth mismatch"
@@ -372,10 +378,25 @@ def _snapshot_columns(raw: bytes) -> tuple[tuple, dict[str, int]]:
     them, and the id -> position dict of their ids, all held to every rule
     ingestion keeps; a ValueError names the first rule broken.
 
-    Each check is one C-level pass (``map``, ``set``, ``dict``), not a
-    generator.
+    orjson decodes the bytes. On any rejection, by orjson or by a check,
+    the stdlib decodes them again and the checks run again, so the outcome
+    and the reason are the stdlib's: orjson rejects a lone surrogate escape
+    that the stdlib reads, and reads an integer beyond 64 bits as a float.
     """
-    obj = json.loads(raw)
+    import orjson
+
+    try:
+        return _checked_columns(orjson.loads(raw))
+    except ValueError:  # orjson.JSONDecodeError is one too
+        return _checked_columns(json.loads(raw))
+
+
+def _checked_columns(obj) -> tuple[tuple, dict[str, int]]:
+    """``_snapshot_columns`` of the decoded snapshot ``obj``.
+
+    Each check is one C-level pass (``join``, ``dict``, ``map``, ``set``),
+    not a generator.
+    """
     if type(obj) is not dict or obj.keys() != set(_COLUMNS):
         raise ValueError(f"not an object of the columns {_COLUMNS}")
     ids, texts, kinds, runs = (obj[name] for name in _COLUMNS)
@@ -383,14 +404,16 @@ def _snapshot_columns(raw: bytes) -> tuple[tuple, dict[str, int]]:
         raise ValueError("a column of the wrong type")
     if not len(ids) == len(texts) == len(kinds):
         raise ValueError("columns of unequal length")
-    if not {str}.issuperset(map(type, chain(ids, texts))):
-        raise ValueError("an id or text that is not a string")
+    try:  # join raises TypeError at an item that is not a string
+        "".join(ids), "".join(texts)
+    except TypeError:
+        raise ValueError("an id or text that is not a string") from None
     position = dict(zip(ids, range(len(ids))))
-    if not all(ids) or len(position) != len(ids):
+    if "" in position or len(position) != len(ids):
         raise ValueError("an empty or duplicate id")
     if not all(map(str.strip, texts)):
         raise ValueError("an empty text")
-    if not _KIND_CHARS.issuperset(kinds):
+    if kinds.translate(_DROP_KIND_CHARS):
         raise ValueError("an unknown kind code")
     if not {list}.issuperset(map(type, runs)) or not {2}.issuperset(map(len, runs)):
         raise ValueError("sources that are not [source, count] pairs")
@@ -406,17 +429,36 @@ def _snapshot_columns(raw: bytes) -> tuple[tuple, dict[str, int]]:
     return (ids, texts, kinds.encode("ascii"), sources), position
 
 
-def _read_snapshot(path: Path) -> tuple[bytes, tuple, dict[str, int]] | None:
-    """The bytes of the snapshot at ``path`` and what ``_snapshot_columns``
-    makes of them if they pass every check, else None."""
+def _read_snapshot(path: Path) -> tuple[str, tuple, dict[str, int]] | None:
+    """The sha256 of the snapshot at ``path`` and what ``_snapshot_columns``
+    makes of its bytes if they pass every check, else None.
+
+    A snapshot of ``HASH_THREAD_BYTES`` or more is hashed on a helper
+    thread while this one decodes and checks it (hashlib releases the
+    GIL); the thread has ended when this returns.
+    """
     try:
         raw = path.read_bytes()
-        return raw, *_snapshot_columns(raw)
     except FileNotFoundError:
         return None
-    except (OSError, ValueError, RecursionError) as e:
+    except OSError as e:
         log.warning("rejected the corpus snapshot %s (%s); rewriting it", path, e)
         return None
+    digest: list[str] = []
+    thread = None
+    if len(raw) >= HASH_THREAD_BYTES:
+        thread = threading.Thread(target=lambda: digest.append(_sha256(raw)),
+                                  name="multirag-snapshot-hash")
+        thread.start()
+    try:
+        columns, position = _snapshot_columns(raw)
+    except (ValueError, RecursionError) as e:
+        log.warning("rejected the corpus snapshot %s (%s); rewriting it", path, e)
+        return None
+    finally:
+        if thread is not None:
+            thread.join()
+    return (_sha256(raw) if thread is None else digest[0]), columns, position
 
 
 def read_bytes(path: Path) -> bytes:
@@ -465,11 +507,6 @@ def jsonl_values(text: str, path: Path):
         except json.JSONDecodeError as e:
             raise MalformedLineError(str(path), line_no, f"invalid JSON: {e.msg}") from e
         yield line_no, value
-
-
-def read_jsonl(path: Path):
-    """``jsonl_values`` of the UTF-8 file at ``path``."""
-    return jsonl_values(decode_text(read_bytes(path), path), path)
 
 
 def _check_kind(kind: str) -> None:
@@ -552,12 +589,15 @@ class Corpus:
         """Append validated columns in one step; a duplicate id adds nothing.
 
         ``fresh`` maps ``ids`` to their positions once appended; it is built
-        when not given.
+        when not given. An empty corpus adopts a given one instead of
+        copying it.
         """
         start = len(self._ids)
+        adopt = fresh is not None and not self._position
         if fresh is None:
             fresh = dict(zip(ids, range(start, start + len(ids))))
-        if len(fresh) != len(ids) or not self._position.keys().isdisjoint(fresh):
+        if len(fresh) != len(ids) or (self._position
+                                      and not self._position.keys().isdisjoint(fresh)):
             seen: set[str] = set()
             for cid in ids:  # name the first duplicate in ingestion order
                 if cid in self._position or cid in seen:
@@ -572,7 +612,10 @@ class Corpus:
             self._texts += texts
             self._kinds += kinds
             self._sources += sources
-            self._position.update(fresh)
+            if adopt:
+                self._position = fresh
+            else:
+                self._position.update(fresh)
             self._index = None
             self._digest = None
 
@@ -645,11 +688,12 @@ class Corpus:
                 corpus._ingest(Path(path), data, kind)
             raw = corpus._snapshot_bytes()
             _write_atomic(snapshot, lambda f: f.write(raw), "corpus snapshot")
+            corpus._digest = _sha256(raw)
         else:
-            raw, columns, position = found
+            digest, columns, position = found
             corpus._append(*columns, fresh=position)
+            corpus._digest = digest
             log.debug("loaded %d chunks from the corpus snapshot %s", len(corpus), snapshot)
-        corpus._digest = _sha256(raw)
         return corpus
 
     def _parse_jsonl(self, text: str, file: Path, default_kind: str) -> tuple:

@@ -21,14 +21,15 @@ import csv
 import math
 import re
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import chain, combinations
 from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from . import confidence, pipeline
-from .corpus import Corpus, read_jsonl
+from .corpus import Corpus, decode_text, jsonl_values, read_bytes
 from .errors import MalformedLineError
 from .generation import GenerationRecord
 from .pipeline import PipelineConfig, QuestionResult
@@ -36,17 +37,25 @@ from .pipeline import PipelineConfig, QuestionResult
 _NUMBER = re.compile(r"-?\d[\d,]*(?:\.\d+)?")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class QAItem:
     id: str
     question: str
     answer: str
 
-    def __post_init__(self):
-        if not isinstance(self.question, str) or not self.question.strip():
-            raise ValueError(f"gold question for {self.id!r} must be a non-empty string")
-        if not self.answer.strip():
-            raise ValueError(f"gold answer for {self.id!r} is empty")
+    # written out, not generated: every run builds its whole gold set, and the
+    # generated frozen __init__, which sets each field through
+    # object.__setattr__ and then calls __post_init__, takes twice as long
+    def __init__(self, id: str, question: str, answer: str):
+        if not isinstance(question, str) or not question.strip():
+            raise ValueError(f"gold question for {id!r} must be a non-empty string")
+        if not answer.strip():
+            raise ValueError(f"gold answer for {id!r} is empty")
+        fields = self.__dict__
+        fields["id"], fields["question"], fields["answer"] = id, question, answer
+
+
+_GOLD_KEYS = ("id", "question", "answer")
 
 
 def load_gold(path: str | Path) -> list[QAItem]:
@@ -55,14 +64,55 @@ def load_gold(path: str | Path) -> list[QAItem]:
     An id is a non-empty string or an integer, an answer a string or a
     finite number: no completion can match NaN or infinity. Ids must be
     unique: the report keys each question by its id.
+
+    orjson decodes the lines and the rules are checked column by column
+    (``_gold_columns``). A file with a line orjson rejects or may read
+    differently from the stdlib, or with any broken rule, is read again
+    line by line through the stdlib (``_gold_lines``), which names the
+    first error.
     """
+    path = Path(path)
+    text = decode_text(read_bytes(path), path)
+    items = _gold_columns(text)
+    return _gold_lines(text, path) if items is None else items
+
+
+def _gold_columns(text: str) -> list[QAItem] | None:
+    """The items of the gold file ``text`` if orjson reads every non-blank
+    line and every rule holds, else None.
+
+    orjson reads an integer beyond 64 bits as a float, so a float id or
+    answer is left to the stdlib too. Each rule is one C-level pass.
+    """
+    import orjson
+
+    try:
+        values = list(map(orjson.loads, filter(str.strip, text.split("\n"))))
+        # a line that is not an object raises TypeError, a missing key KeyError
+        ids, questions, answers = (list(map(itemgetter(key), values)) for key in _GOLD_KEYS)
+    except (orjson.JSONDecodeError, TypeError, KeyError):
+        return None
+    # type(True) is bool, so a bool id or answer fails this too
+    if not {str, int}.issuperset(map(type, chain(ids, answers))):
+        return None
+    ids = list(map(str, ids))
+    unique = set(ids)
+    if len(unique) != len(ids) or "" in unique:
+        return None
+    try:
+        return list(map(QAItem, ids, questions, map(str, answers)))
+    except ValueError:  # a question or answer QAItem refuses
+        return None
+
+
+def _gold_lines(text: str, path: Path) -> list[QAItem]:
+    """``load_gold`` of ``text``, read line by line through the stdlib."""
     items = []
     seen: set[str] = set()
-    path = Path(path)
-    for line_no, obj in read_jsonl(path):
+    for line_no, obj in jsonl_values(text, path):
         if not isinstance(obj, dict):
             raise MalformedLineError(str(path), line_no, "expected a JSON object")
-        for key in ("id", "question", "answer"):
+        for key in _GOLD_KEYS:
             if key not in obj:
                 raise MalformedLineError(str(path), line_no, f"missing {key!r}")
         try:

@@ -17,7 +17,7 @@ import hashlib
 import math
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain
 from operator import itemgetter
 
 import numpy as np
@@ -394,8 +394,7 @@ class OpenAIChatBackend:
         """
         chosen_lps = _floats(_field(content, "logprob", "logprobs.content[]"),
                              "logprobs.content[].logprob")
-        tokens = _strs(list(map(dict.get, content, repeat("token"), repeat(""))),
-                       "logprobs.content[].token")
+        tokens = _strs(_field(content, "token", "logprobs.content[]"), "logprobs.content[].token")
         tops = _field(content, "top_logprobs", "logprobs.content[]")
         if not set(map(type, tops)) <= {list}:
             raise _type_error(tops, (list,), "logprobs.content[].top_logprobs")
@@ -431,8 +430,9 @@ class OpenAIChatBackend:
 
 
 def _type_error(values: list, kinds: tuple[type, ...], where: str) -> GenerationError:
-    """The error for the first of ``values`` whose type is none of ``kinds``."""
-    bad = next(type(v) for v in values if not isinstance(v, kinds))
+    """The error for the first of ``values`` whose type is none of ``kinds``
+    (exactly: a bool is not an int here)."""
+    bad = next(type(v) for v in values if type(v) not in kinds)
     names = " or ".join(k.__name__ for k in kinds)
     return GenerationError(
         f"response field {where} holds a value of type {bad.__name__}, not {names}")
@@ -468,11 +468,15 @@ def _strs(values: list, where: str) -> list[str]:
 
 
 def _floats(values: list, where: str) -> array:
-    """``values`` as float64s, refusing strings and nulls in the same pass."""
+    """``values`` as float64s, refusing strings and nulls in the same pass;
+    ``array`` reads a bool as 0 or 1, so one type pass refuses booleans."""
     try:
-        return array("d", values)
+        floats = array("d", values)
     except TypeError:
-        raise _type_error(values, (float, int), where) from None
+        floats = None
+    if floats is None or not {bool}.isdisjoint(map(type, values)):
+        raise _type_error(values, (float, int), where)
+    return floats
 
 
 def _chosen_at(item: dict, token: str, logprob: float, names: list[str], lps: array,

@@ -1,6 +1,8 @@
 import csv
 import json
+import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from multirag.embedding import DeterministicProvider
 from multirag.evaluation import (
     QAItem,
     _gaussian_smooth,
+    _gold_columns,
     _json_text,
     aggregate,
     cdf_report,
@@ -26,6 +29,7 @@ from multirag.evaluation import (
     vanilla_records_with_correctness,
     write_report_files,
 )
+from multirag.corpus import decode_text, jsonl_values, read_bytes
 from multirag.errors import MalformedLineError, StageError
 from multirag.generation import DecodeParams, GenerationRecord, MockBackend, derive_seed
 from multirag.pipeline import (
@@ -536,7 +540,125 @@ class TestReportWriter:
             _json_text(obj)
 
 
+def reference_load_gold(path) -> list[QAItem]:
+    """The gold loader as it was before the orjson path: one stdlib
+    ``json.loads`` and one rule check per line."""
+    items = []
+    seen: set[str] = set()
+    path = Path(path)
+    for line_no, obj in jsonl_values(decode_text(read_bytes(path), path), path):
+        if not isinstance(obj, dict):
+            raise MalformedLineError(str(path), line_no, "expected a JSON object")
+        for key in ("id", "question", "answer"):
+            if key not in obj:
+                raise MalformedLineError(str(path), line_no, f"missing {key!r}")
+        try:
+            qid, answer = obj["id"], obj["answer"]
+            if isinstance(qid, bool) or not isinstance(qid, (str, int)) or qid == "":
+                raise ValueError(f"gold id {qid!r} must be a non-empty string or an integer")
+            if (isinstance(answer, bool) or not isinstance(answer, (str, int, float))
+                    or isinstance(answer, float) and not math.isfinite(answer)):
+                raise ValueError(
+                    f"gold answer for {qid!r} must be a string or a number, not {answer!r}")
+            item = QAItem(id=str(qid), question=obj["question"], answer=str(answer))
+        except ValueError as e:
+            raise MalformedLineError(str(path), line_no, str(e)) from e
+        if item.id in seen:
+            raise MalformedLineError(str(path), line_no, f"duplicate gold id {item.id!r}")
+        seen.add(item.id)
+        items.append(item)
+    return items
+
+
+def gold_outcome(load, path):
+    """The items ``load`` reads from ``path``, or its error's type, line and text."""
+    try:
+        return load(path)
+    except MalformedLineError as e:
+        return type(e), e.line_no, str(e)
+
+
+BIG = 2 ** 64  # orjson reads an integer from here on (or below -2 ** 63) as a float
+# (JSON text, whether the stdlib reads it as a valid id / answer) per value
+GOLD_IDS = [("7", True), ("1234567890123456789", True), (str(BIG - 1), True),
+            (str(BIG), True), (str(-BIG * 3 - 5), True), (str(2 ** 63), True),
+            (str(-(2 ** 63) - 1), True), ("true", False), ('""', False), ("1.5", False),
+            ("null", False), ('"q\\ud800"', True)]
+GOLD_ANSWERS = [("12", True), (str(BIG + 7), True), (str(-BIG - 1), True),
+                (str(10 ** 30), True), ("0.5", True), ("-2.25", True), ("1e-7", True),
+                ("18446744073709551616.0", True), ("NaN", False), ("Infinity", False),
+                ("-Infinity", False), ("1e999", False), ("false", False), ('""', False),
+                ('"\\udfff"', True), ("[3]", False)]
+GOLD_QUESTIONS = [('"How many?"', True), ('"  "', False), ("5", False),
+                  ('"lone \\ud83d surrogate?"', True)]
+
+
+def gold_line(rng: np.random.Generator, n: int, ids: list[str]) -> str:
+    """One generated gold line, mostly valid; about one line in six holds a
+    value the stdlib refuses, a missing or repeated key, or is blank or not
+    an object."""
+    def pick(values):
+        valid = [text for text, ok in values if ok]
+        if rng.random() < 0.06:
+            return values[int(rng.integers(len(values)))][0]
+        return valid[int(rng.integers(len(valid)))] if rng.random() < 0.15 else None
+
+    odd = rng.random()
+    if odd < 0.03:
+        return "   "  # blank: skipped
+    if odd < 0.05:
+        return ["[1, 2]", '"q"', "3", "null", '{"id": 1'][int(rng.integers(5))]
+    qid = pick(GOLD_IDS) or f'"q{n}"'
+    if rng.random() < 0.02 and ids:
+        qid = ids[int(rng.integers(len(ids)))]  # a repeated id
+    ids.append(qid)
+    fields = [("id", qid), ("question", pick(GOLD_QUESTIONS) or f'"Question {n}?"'),
+              ("answer", pick(GOLD_ANSWERS) or f'"{n}"')]
+    if rng.random() < 0.03:
+        fields.pop(int(rng.integers(3)))  # a missing key
+    if rng.random() < 0.05:
+        key = fields[int(rng.integers(len(fields)))][0]
+        fields.insert(0, (key, '"shadowed"'))  # a repeated key: the last one counts
+    order = rng.permutation(len(fields))
+    return "{" + ", ".join(f'"{fields[i][0]}": {fields[i][1]}' for i in order) + "}"
+
+
 class TestGoldLoader:
+    def test_matches_the_line_by_line_loader(self, tmp_path):
+        """The orjson path gives the stdlib loop's items, or its error, on
+        generated files: integers beyond 64 bits, float and non-finite
+        answers, lone surrogate escapes, repeated keys and ids, missing keys,
+        non-object and blank lines, CRLF line ends."""
+        rng = np.random.default_rng(18)
+        seen = {"items": 0, "errors": 0, "fast": 0, "big answer read exactly": 0}
+        for f in range(400):
+            ids: list[str] = []
+            lines = [gold_line(rng, n, ids) for n in range(int(rng.integers(1, 9)))]
+            end = ["\n", "\r\n"][f % 2]
+            path = tmp_path / f"gold-{f}.jsonl"
+            path.write_bytes((end.join(lines) + end * int(rng.integers(0, 2))).encode("utf-8"))
+            got = gold_outcome(load_gold, path)
+            assert got == gold_outcome(reference_load_gold, path), path.read_text()
+            if isinstance(got, list):
+                seen["items"] += 1
+                seen["fast"] += _gold_columns(decode_text(path.read_bytes(), path)) is not None
+                seen["big answer read exactly"] += any(
+                    item.answer.lstrip("-").isdigit() and abs(int(item.answer)) >= BIG
+                    for item in got)
+            else:
+                seen["errors"] += 1
+        # every outcome the comparison relies on is reached often enough
+        assert min(seen.values()) >= 30, seen
+
+    @pytest.mark.parametrize("workload", ["sweep-5k", "ask-cold-20k", "ask-remote"])
+    def test_benchmark_gold_files(self, tmp_path, monkeypatch, workload):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+        from perfbench.inputs import write_inputs
+
+        path = write_inputs(workload, 5, tmp_path)["gold"]
+        assert _gold_columns(Path(path).read_text(encoding="utf-8")) is not None
+        assert load_gold(path) == reference_load_gold(path)
+
     def test_round_trip(self, tmp_path):
         path = tmp_path / "gold.jsonl"
         path.write_text(json.dumps({"id": "q1", "question": "?", "answer": "3"}) + "\n")

@@ -9,12 +9,14 @@ the files again, and every parse error is the one ``ingest`` raises.
 import hashlib
 import json
 import logging
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from multirag import config
+from multirag import corpus as corpus_module
 from multirag.corpus import Chunk, ChunkIndex, Corpus, decode_text
 from multirag.embedding import DeterministicProvider
 from multirag.errors import MalformedLineError
@@ -217,6 +219,11 @@ def _counts_past_the_rows(c):
     c["sources"][-1][1] += 1
 
 
+@_edited("source counts that do not sum to the row count")
+def _count_beyond_64_bits(c):
+    c["sources"][-1][1] += 2 ** 64  # orjson reads it as a float; the stdlib's int decides
+
+
 @_edited("sources that are not [source, count] pairs")
 def _source_not_a_pair(c):
     c["sources"][0].append(1)
@@ -231,8 +238,8 @@ def _source_as_a_string(c):
     _truncated, _not_an_object, _unequal_lengths, _non_string_item, _list_as_id,
     _empty_text, _unknown_kind, _duplicate_id, _missing_column, _kinds_as_labels,
     _source_not_a_string, _zero_count, _bool_count, _float_count,
-    _counts_short_of_the_rows, _counts_past_the_rows, _source_not_a_pair,
-    _source_as_a_string],
+    _counts_short_of_the_rows, _counts_past_the_rows, _count_beyond_64_bits,
+    _source_not_a_pair, _source_as_a_string],
     ids=lambda f: f.__name__.strip("_"))
 def test_edited_snapshot_is_rejected_and_rewritten(files, tmp_path, caplog, parses,
                                                    corrupt):
@@ -246,6 +253,43 @@ def test_edited_snapshot_is_rejected_and_rewritten(files, tmp_path, caplog, pars
     assert parses[0] == 4
     assert f"rejected the corpus snapshot {snapshot} ({corrupt.reason}" in caplog.text
     assert snapshot.read_bytes() == good
+
+
+def test_a_lone_surrogate_text_still_hits(tmp_path, parses):
+    """orjson refuses the escape the snapshot holds for a lone surrogate, so
+    the stdlib decodes it; the second load still hits."""
+    rows = tmp_path / "rows.jsonl"
+    rows.write_text('{"id": "s", "text": "half a pair: \\ud83d"}\n{"text": "whole"}\n')
+    store = tmp_path / "index"
+    first = Corpus.from_files([(str(rows), "qa")], store)
+    second = Corpus.from_files([(str(rows), "qa")], store)
+    assert parses[0] == 1
+    assert second._texts[0] == "half a pair: \ud83d"
+    want = Corpus()
+    want.ingest(rows)
+    for corpus in first, second:
+        assert (corpus._ids, corpus._texts, corpus._kinds, corpus._sources, corpus._position) \
+            == (want._ids, want._texts, want._kinds, want._sources, want._position)
+    (snapshot,) = snapshots(store)
+    assert second._digest == hashlib.sha256(snapshot.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("threaded", [False, True], ids=["inline", "threaded"])
+def test_a_hit_digests_the_snapshot_bytes(files, tmp_path, monkeypatch, parses, threaded):
+    """Inline or on the helper thread, a hit's digest is the sha256 of the
+    snapshot's bytes, and the thread has ended by the time the load returns,
+    on a hit and on a rejection."""
+    monkeypatch.setattr(corpus_module, "HASH_THREAD_BYTES", 0 if threaded else 1 << 30)
+    store = tmp_path / "index"
+    Corpus.from_files(files, store)
+    (snapshot,) = snapshots(store)
+    threads = threading.active_count()
+    hit = Corpus.from_files(files, store)
+    assert threading.active_count() == threads and parses[0] == 2
+    assert hit._digest == hashlib.sha256(snapshot.read_bytes()).hexdigest()
+    snapshot.write_bytes(b"[]")
+    assert list(Corpus.from_files(files, store)) == list(hit)
+    assert threading.active_count() == threads and parses[0] == 4
 
 
 @pytest.mark.parametrize("data, line_no, reason", [

@@ -439,10 +439,18 @@ class TestMalformedReplies:
          GenerationError, "choices[0].logprobs.content is str"),
         ({"choices": [{"message": {"content": "4"}, "logprobs": {"content": [3]}}]},
          GenerationError, "logprobs.content[] holds a value of type int"),
+        ({"choices": [{"message": {"content": "4"}, "logprobs": {"content": [
+            {"logprob": -0.1, "top_logprobs": [{"token": "a", "logprob": -0.1}]}]}}]},
+         LogprobsMissingError, "logprobs.content[] omits 'token'"),
+        (chat_reply(logprob=False), GenerationError,
+         "content[].logprob holds a value of type bool"),
+        (chat_reply(top=[{"token": "4", "logprob": -0.1}, {"token": "5", "logprob": True}]),
+         GenerationError, "top_logprobs[].logprob holds a value of type bool"),
     ], ids=["alt-no-token", "alt-no-logprob", "alt-str", "alt-null", "top-null",
             "alt-token-null", "token-null", "alt-logprob-str", "logprob-str",
             "choices-str", "choice-null", "message-str", "content-int", "logprobs-str",
-            "logprobs-content-str", "content-item-int"])
+            "logprobs-content-str", "content-item-int", "no-token", "logprob-bool",
+            "alt-logprob-bool"])
     def test_chat(self, stub_server, reply, error, field):
         stub_server.route("/v1/chat/completions", lambda body: (200, reply))
         backend = OpenAIChatBackend("llm-x", endpoint=stub_server.url, retries=0)
