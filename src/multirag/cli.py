@@ -96,19 +96,18 @@ def cmd_ask(args) -> int:
             print(f"--- winner index: {result.winner_index} "
                   f"(metric {pipeline_cfg.metric})")
         print("--- manifest")
-        print(json.dumps(manifest, indent=2, sort_keys=True))
+        print(evaluation.json_bytes(manifest).decode("utf-8"), end="")
     if args.out:
         outdir = Path(cfg["output_dir"])
         outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        (outdir / "answer.json").write_text(json.dumps({
+        (outdir / "manifest.json").write_bytes(evaluation.json_bytes(manifest))
+        (outdir / "answer.json").write_bytes(evaluation.json_bytes({
             "question": args.question,
             "pipeline": args.pipeline,
             "answer": result.answer,
             "answer_value": evaluation.extract_answer(result.answer),
             "winner_index": result.winner_index,
-        }, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        }))
     print(result.answer)
     return 0
 
@@ -124,8 +123,7 @@ def cmd_eval(args) -> int:
 
     # the manifest goes first so partial failures still leave a record
     manifest = config_mod.build_manifest(cfg, pipeline_cfg)
-    (outdir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    (outdir / "manifest.json").write_bytes(evaluation.json_bytes(manifest))
 
     corpus = config_mod.load_corpus(cfg)
     if pipeline_cfg.k > 0 and len(corpus) == 0:
@@ -163,7 +161,10 @@ def cmd_report(args) -> int:
     if not report_path.exists():
         print(f"error: {report_path} not found", file=sys.stderr)
         return 1
-    report = json.loads(report_path.read_text(encoding="utf-8"))
+    try:
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+    except RecursionError as e:  # a decode error is a ValueError already
+        raise ValueError(f"{report_path} is not valid JSON: {e}") from e
     model_ids = args.models.split(",") if args.models else _legend_from_report(report)
     text = evaluation.render_tables(report, model_ids)
     print(text)

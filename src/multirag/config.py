@@ -109,7 +109,7 @@ def load_config(path: str | Path | None = None,
             raise ConfigError(f"cannot read config {path}: {e}") from e
         except UnicodeDecodeError as e:
             raise ConfigError(f"config {path} is not valid UTF-8: {e}") from e
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:
             raise ConfigError(f"config {path} is not valid JSON: {e}") from e
         if not isinstance(raw, dict):
             raise ConfigError(f"config {path}: top level must be an object")
@@ -121,13 +121,13 @@ def load_config(path: str | Path | None = None,
 
 
 def _apply_override(data: dict, dotted: str, value) -> None:
+    *parents, last = dotted.split(".")
     node = data
-    parts = dotted.split(".")
-    for part in parts[:-1]:
-        node = node[part]
-    if parts[-1] not in node:
+    for part in parents:
+        node = node.get(part) if isinstance(node, dict) else None
+    if not isinstance(node, dict) or last not in node:
         raise ConfigError(f"unknown config key {dotted!r}")
-    node[parts[-1]] = value
+    node[last] = value
 
 
 def _is_int(value) -> bool:

@@ -506,6 +506,8 @@ def jsonl_values(text: str, path: Path):
             value = json.loads(line)
         except json.JSONDecodeError as e:
             raise MalformedLineError(str(path), line_no, f"invalid JSON: {e.msg}") from e
+        except RecursionError as e:  # the stdlib decoder's depth limit, about 1000 levels
+            raise MalformedLineError(str(path), line_no, f"invalid JSON: {e}") from e
         yield line_no, value
 
 

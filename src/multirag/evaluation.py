@@ -18,11 +18,11 @@ vanilla records without generating again, through the same
 from __future__ import annotations
 
 import csv
+import json
 import math
 import re
 from dataclasses import dataclass, replace
-from itertools import chain, combinations
-from json.encoder import encode_basestring_ascii as _quote
+from itertools import combinations
 from operator import itemgetter
 from pathlib import Path
 
@@ -81,8 +81,12 @@ def _gold_columns(text: str) -> list[QAItem] | None:
     """The items of the gold file ``text`` if orjson reads every non-blank
     line and every rule holds, else None.
 
-    orjson reads an integer beyond 64 bits as a float, so a float id or
-    answer is left to the stdlib too. Each rule is one C-level pass.
+    orjson reads an integer beyond 64 bits as a float, whose magnitude is
+    then 2**63 or more. So a float id, or a float answer that large, is
+    left to the stdlib too; a smaller float answer came from a float
+    literal, and ``str`` of it is what the stdlib path stores. Each rule
+    but that bound, which runs only on a file with a float answer, is one
+    C-level pass.
     """
     import orjson
 
@@ -92,8 +96,11 @@ def _gold_columns(text: str) -> list[QAItem] | None:
         ids, questions, answers = (list(map(itemgetter(key), values)) for key in _GOLD_KEYS)
     except (orjson.JSONDecodeError, TypeError, KeyError):
         return None
-    # type(True) is bool, so a bool id or answer fails this too
-    if not {str, int}.issuperset(map(type, chain(ids, answers))):
+    # type(True) is bool, so a bool id or answer fails these too
+    answer_types = set(map(type, answers))
+    if not {str, int}.issuperset(map(type, ids)) or not {str, int, float}.issuperset(answer_types):
+        return None
+    if float in answer_types and not all(abs(a) < 2 ** 63 for a in answers if type(a) is float):
         return None
     ids = list(map(str, ids))
     unique = set(ids)
@@ -465,7 +472,7 @@ def write_report_files(outdir: str | Path, report: AccuracyReport,
 
     report_dict = report.to_dict()
     report_path = outdir / "report.json"
-    report_path.write_text(_json_text(report_dict) + "\n", encoding="utf-8")
+    report_path.write_bytes(json_bytes(report_dict))
     written.append(report_path)
 
     tables_path = outdir / "tables.txt"
@@ -479,55 +486,26 @@ def write_report_files(outdir: str | Path, report: AccuracyReport,
     return written
 
 
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+def json_bytes(obj) -> bytes:
+    """``obj`` as indented, key-sorted JSON text with a final newline: the
+    one way the program writes a JSON file.
 
-
-def _json_text(obj) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte.
-
-    ``json`` falls back to its pure-Python encoder whenever ``indent`` is
-    set; this writes the same text with less machinery. It takes what a
-    report holds: dicts with string keys, lists, tuples, strings, ints,
-    floats, bools and None, tested in the order ``json.encoder`` tests
-    them. Anything else raises ``TypeError``.
+    orjson writes it. Its text equals ``json.dumps(obj, indent=2,
+    sort_keys=True) + "\n"`` but in three cases. Non-ASCII text stays
+    UTF-8, and a float that ``repr`` writes with an exponent may take
+    another form (``1e-7``, ``0.00001`` and ``1e16`` for ``1e-07``,
+    ``1e-05`` and ``1e+16``): both read back the same. A non-finite float
+    is written as ``null``. What orjson refuses, a lone surrogate or an
+    integer beyond 64 bits, gets exactly that ``json.dumps`` text; what
+    neither takes raises ``TypeError``.
     """
-    parts: list[str] = []
-    _encode(obj, "\n", parts.append)
-    return "".join(parts)
+    import orjson  # imported here, as in load_gold, so that loading the package stays light
 
-
-def _encode(o, newline: str, emit) -> None:
-    if isinstance(o, str):
-        emit(_quote(o))
-    elif o is None:
-        emit("null")
-    elif o is True:
-        emit("true")
-    elif o is False:
-        emit("false")
-    elif isinstance(o, int):
-        emit(int.__repr__(o))
-    elif isinstance(o, float):
-        text = float.__repr__(o)
-        emit(_NON_FINITE.get(text, text))
-    elif isinstance(o, (list, tuple, dict)):
-        is_dict = isinstance(o, dict)
-        if not o:
-            emit("{}" if is_dict else "[]")
-            return
-        inner = newline + "  "
-        emit("{" if is_dict else "[")
-        for i, item in enumerate(sorted(o.items()) if is_dict else o):
-            emit("," + inner if i else inner)
-            if is_dict:
-                key, item = item
-                if not isinstance(key, str):
-                    raise TypeError(f"report keys must be strings, not {type(key).__name__}")
-                emit(_quote(key) + ": ")
-            _encode(item, inner, emit)
-        emit(newline + ("}" if is_dict else "]"))
-    else:
-        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+    try:
+        return orjson.dumps(
+            obj, option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE)
+    except orjson.JSONEncodeError:
+        return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("ascii")
 
 
 def _pct(x) -> str:

@@ -226,12 +226,17 @@ def generate(backend, prompt: str, params: DecodeParams,
 
 
 def derive_seed(master: int, *parts: str) -> int:
-    """Stable per-(question, model) seed derived from the master seed."""
+    """Stable per-(question, model) seed derived from the master seed.
+
+    A part may hold a lone surrogate, as a gold id read from a ``\\ud800``
+    escape does; "surrogatepass" encodes it, and leaves every other
+    string's UTF-8 bytes, and so its seed, as they were.
+    """
     h = hashlib.blake2b(digest_size=8)
     h.update(str(master).encode())
     for p in parts:
         h.update(b"\x00")
-        h.update(p.encode("utf-8"))
+        h.update(p.encode("utf-8", "surrogatepass"))
     return int.from_bytes(h.digest(), "big")
 
 

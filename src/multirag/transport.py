@@ -63,7 +63,7 @@ def post_json(url: str, payload: dict, headers: dict[str, str],
                 except orjson.JSONDecodeError:
                     try:
                         body = resp.json()
-                    except ValueError as e:
+                    except (ValueError, RecursionError) as e:
                         raise TransportError(f"{url}: response is not JSON: {e}") from e
                 if not isinstance(body, dict):
                     raise TransportError(f"{url}: response is not a JSON object")

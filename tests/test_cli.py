@@ -107,6 +107,29 @@ class TestAsk:
         assert hashes[0] != hashes[1]  # output_dir is part of the hashed config
         assert not (tmp_path / "out").exists()
 
+    def test_out_writes_what_the_cli_built(self, tmp_path, capsys, monkeypatch):
+        """manifest.json and answer.json read back to the dicts the CLI
+        built; non-ASCII text is written as UTF-8, and --verbose prints the
+        manifest file's text."""
+        from multirag import evaluation
+
+        built = []
+        write = evaluation.json_bytes
+        monkeypatch.setattr(evaluation, "json_bytes", lambda obj: built.append(obj) or write(obj))
+        cfg = write_config(tmp_path)
+        outdir = tmp_path / "ask-out"
+        question = "Zoë hat 3 Äpfel und 4 Birnen – wie viele Früchte? 中 \u2028 😀"
+        assert main(["ask", question, "--config", str(cfg), "--out", str(outdir),
+                     "--verbose"]) == 0
+        printed, manifest, answer = built
+        assert printed is manifest
+        assert answer["question"] == question and manifest["pipeline"] == "confident"
+        for name, obj in (("manifest.json", manifest), ("answer.json", answer)):
+            assert json.loads((outdir / name).read_bytes()) == obj
+        assert question.encode("utf-8") in (outdir / "answer.json").read_bytes()
+        text = (outdir / "manifest.json").read_text(encoding="utf-8")
+        assert f"--- manifest\n{text}" in capsys.readouterr().out
+
     def test_verbose_shows_index_build_then_load(self, tmp_path, capsys, caplog):
         cfg = write_config(tmp_path)
         caplog.set_level(logging.DEBUG, logger="multirag.corpus")
@@ -211,6 +234,25 @@ class TestEval:
         cfg = write_config(tmp_path)
         assert main(["eval", "--config", str(cfg)]) == 0
         assert (tmp_path / "out" / "cdf_dp.csv").read_text().count("\n") > 1
+
+    def test_lone_surrogate_id_takes_the_stdlib_writer(self, tmp_path, capsys):
+        """orjson refuses a lone surrogate, so report.json is json.dumps' text,
+        and it reads back with the id and renders the same tables."""
+        cfg = write_config(tmp_path)
+        gold = Path(json.loads(cfg.read_text())["gold_path"])
+        rows = [json.loads(line) for line in gold.read_text().splitlines()]
+        rows[1]["id"] = "q\ud800"
+        gold.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        assert main(["eval", "--config", str(cfg)]) == 0
+        outdir = tmp_path / "out"
+        data = (outdir / "report.json").read_bytes()
+        report = json.loads(data)
+        assert data == (json.dumps(report, indent=2, sort_keys=True) + "\n").encode("ascii")
+        assert "q\ud800" in [q["id"] for q in report["questions"]]
+        assert main(["report", str(outdir / "report.json"),
+                     "--out", str(tmp_path / "again")]) == 0
+        assert ((tmp_path / "again" / "tables.txt").read_bytes()
+                == (outdir / "tables.txt").read_bytes())
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -379,6 +421,27 @@ def test_non_utf8_config_is_named(tmp_path, capsys, command):
     assert "0xe9" in err and "Traceback" not in err
 
 
+DEEP = "[" * 5000 + "]" * 5000  # beyond the stdlib decoder's depth, about 1000
+
+
+@pytest.mark.parametrize("command, which", [("ingest", "corpus"), ("ask", "corpus"),
+                                            ("eval", "corpus"), ("eval", "gold")])
+def test_deeply_nested_line_is_named(tmp_path, capsys, command, which):
+    cfg = write_config(tmp_path)
+    data = json.loads(cfg.read_text())
+    path = Path(data["corpus"][0]["path"] if which == "corpus" else data["gold_path"])
+    lines = path.read_text().splitlines()
+    lines[2] = DEEP
+    path.write_text("\n".join(lines) + "\n")
+    args = {"ingest": ["ingest", str(path)],
+            "ask": ["ask", "How many?", "--config", str(cfg)],
+            "eval": ["eval", "--config", str(cfg)]}[command]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:3: invalid JSON: maximum recursion depth exceeded")
+    assert "Traceback" not in err
+
+
 class TestReport:
     def test_rerender_tables(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -393,6 +456,14 @@ class TestReport:
 
     def test_missing_report(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nope.json")]) == 1
+
+    def test_deeply_nested_report(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        path.write_text(DEEP)
+        assert main(["report", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path} is not valid JSON: maximum recursion depth")
+        assert "Traceback" not in err
 
 
 def test_cli_import_skips_scipy_and_requests():

@@ -2,9 +2,11 @@ import csv
 import json
 import math
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 
 from multirag import retrieval
@@ -14,7 +16,6 @@ from multirag.evaluation import (
     QAItem,
     _gaussian_smooth,
     _gold_columns,
-    _json_text,
     aggregate,
     cdf_report,
     empirical_cdf,
@@ -22,6 +23,7 @@ from multirag.evaluation import (
     gold_value,
     grade,
     is_correct,
+    json_bytes,
     load_gold,
     model_combinations,
     render_tables,
@@ -483,13 +485,34 @@ def dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
+def same(got, want) -> bool:
+    """``got`` is ``want`` as JSON reads it back: a tuple as a list, and a
+    float with its bits."""
+    if isinstance(want, float):
+        return type(got) is float and struct.pack("<d", got) == struct.pack("<d", want)
+    if isinstance(want, (list, tuple)):
+        return type(got) is list and len(got) == len(want) and all(map(same, got, want))
+    if isinstance(want, dict):
+        return (type(got) is dict and got.keys() == want.keys()
+                and all(same(got[key], value) for key, value in want.items()))
+    return type(got) is type(want) and got == want
+
+
+def keys_sorted(value) -> bool:
+    if isinstance(value, dict):
+        return list(value) == sorted(value) and all(map(keys_sorted, value.values()))
+    return not isinstance(value, list) or all(map(keys_sorted, value))
+
+
 class TestReportWriter:
-    """The report writer emits exactly the text of ``json.dumps(indent=2, sort_keys=True)``."""
+    """``json_bytes`` writes what reads back to its input, with sorted keys,
+    and the text of ``json.dumps(indent=2, sort_keys=True)`` where orjson
+    refuses the input."""
 
     ALPHABET = ["a", "Z", "0", " ", '"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f",
                 "é", "ß", "中", "\u2028", "😀", "\ud800"]
-    FLOATS = [0.0, -0.0, 1.5, -2.25e-300, 1e308, 0.1 + 0.2, float("nan"), float("inf"),
-              float("-inf"), np.float64(0.3), np.float64("nan"), np.float64("-inf")]
+    FLOATS = [0.0, -0.0, 1.5, -2.25e-300, 1e308, 0.1 + 0.2, 5e-324, 1e-7, 1e-05, 1e16,
+              -1.5e22, np.float64(0.3), np.float64(-1e-300)]
 
     def text(self, rng):
         return "".join(rng.choice(self.ALPHABET, size=int(rng.integers(0, 6))).tolist())
@@ -517,27 +540,44 @@ class TestReportWriter:
 
     def test_random_nested_values(self):
         rng = np.random.default_rng(51)
+        paths = {"orjson": 0, "fallback": 0}
         for _ in range(400):
             obj = self.value(rng, 0)
-            assert _json_text(obj) == dumps(obj)
+            got = json_bytes(obj)
+            back = json.loads(got)
+            assert same(back, obj) and keys_sorted(back), got
+            try:
+                orjson.dumps(obj)
+                paths["orjson"] += 1
+            except orjson.JSONEncodeError:  # a lone surrogate, or an int beyond 64 bits
+                paths["fallback"] += 1
+                assert got == (dumps(obj) + "\n").encode("ascii")
+        assert min(paths.values()) >= 50, paths
 
     def test_special_values(self):
-        for obj in [*self.FLOATS, True, False, None, {}, [], (), "", 0, -1, 2**70,
-                    {"": [[], {}, ()]}, {"k": {"nested": [None, True, -0.0]}}]:
-            assert _json_text(obj) == dumps(obj)
+        """json.dumps' text, but for the three documented departures."""
+        for obj in [True, False, None, {}, [], (), "", 0, -1, 2**63, -2**63, 2**64 - 1,
+                    2**70, -(10**35), -0.0, 1e-4, 0.1 + 0.2, 1e15, 1e-12, "\ud800",
+                    {"": [[], {}, ()]}, {"k": {"nested": [None, True, -0.0]}},
+                    {"k": {1: "int key"}}, {"\udfff": np.float64(0.3)}]:
+            assert json_bytes(obj) == (dumps(obj) + "\n").encode("ascii"), obj
+        assert json_bytes({"k": "é中😀\u2028"}) == '{\n  "k": "é中😀\u2028"\n}\n'.encode()
+        assert json_bytes([1e-7, 1e-05, 1e16, 1.5e300]) == (
+            b"[\n  1e-7,\n  0.00001,\n  1e16,\n  1.5e300\n]\n")
+        assert json_bytes([math.nan, math.inf, -math.inf]) == b"[\n  null,\n  null,\n  null\n]\n"
 
     def test_sweep_report(self):
         corpus, config, items = sweep_setup(n_questions=5)
         results = run_sweep(corpus, items, config,
                             pipelines=["vanilla", "mixture", "confident"], sizes=[2, 3])
         report = aggregate(results, items).to_dict()
-        assert _json_text(report) == dumps(report)
+        assert json_bytes(report) == (dumps(report) + "\n").encode("ascii")
 
     @pytest.mark.parametrize("obj", [{1, 2}, b"x", np.int64(3), np.bool_(True),
-                                     object(), [np.array([1.0])], {"k": {1: "int key"}}])
+                                     object(), [np.array([1.0])]])
     def test_unsupported_types_raise(self, obj):
         with pytest.raises(TypeError):
-            _json_text(obj)
+            json_bytes(obj)
 
 
 def reference_load_gold(path) -> list[QAItem]:
@@ -658,6 +698,31 @@ class TestGoldLoader:
         path = write_inputs(workload, 5, tmp_path)["gold"]
         assert _gold_columns(Path(path).read_text(encoding="utf-8")) is not None
         assert load_gold(path) == reference_load_gold(path)
+
+    def test_float_answers_stay_on_the_column_path(self, tmp_path, monkeypatch):
+        from multirag import evaluation
+
+        def line_by_line(*args):
+            raise AssertionError("the gold file went through the line-by-line loader")
+
+        path = tmp_path / "gold.jsonl"
+        answers = [0.5, -2.25, 1e-7, 1e18, -0.0, 5e-324, 2.0 ** 63 - 1024,
+                   -(2.0 ** 63) + 1024, 3, "4"]
+        path.write_text("".join(
+            json.dumps({"id": f"q{i}", "question": "How many?", "answer": answer}) + "\n"
+            for i, answer in enumerate(answers)))
+        want = reference_load_gold(path)
+        monkeypatch.setattr(evaluation, "_gold_lines", line_by_line)
+        assert load_gold(path) == want
+
+    @pytest.mark.parametrize("answer", [-(2 ** 63) - 1, 2 ** 64, -(2 ** 64), 10 ** 30])
+    def test_integer_answers_beyond_64_bits_are_read_exactly(self, tmp_path, answer):
+        """orjson reads these as floats of magnitude 2**63 or more, which the
+        column path leaves to the stdlib."""
+        path = tmp_path / "gold.jsonl"
+        path.write_text(json.dumps({"id": "q1", "question": "How many?", "answer": answer}))
+        assert _gold_columns(path.read_text()) is None
+        assert load_gold(path) == [QAItem(id="q1", question="How many?", answer=str(answer))]
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "gold.jsonl"

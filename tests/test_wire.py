@@ -594,6 +594,14 @@ class TestDecode:
             transport.post_json(f"{stub_server.url}/x", {}, {}, retries=0)
         assert len(stub_server.requests) == 1
 
+    def test_deeply_nested_fallback_body(self, stub_server):
+        """orjson refuses the NaN, and the stdlib decoder the depth."""
+        data = b"[" * 5000 + b"NaN" + b"]" * 5000
+        stub_server.route("/x", lambda body: (200, data))
+        with pytest.raises(TransportError,
+                           match="response is not JSON: maximum recursion depth exceeded"):
+            transport.post_json(f"{stub_server.url}/x", {}, {}, retries=0)
+
     def test_declared_charset_yields_to_valid_utf8(self, stub_server):
         """A departure from requests' decode: UTF-8 wins over the declared charset."""
         data = '{"v": "\xe9"}'.encode("utf-8")
