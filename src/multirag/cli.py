@@ -162,11 +162,20 @@ def cmd_report(args) -> int:
         print(f"error: {report_path} not found", file=sys.stderr)
         return 1
     try:
-        report = json.loads(report_path.read_text(encoding="utf-8"))
-    except RecursionError as e:  # a decode error is a ValueError already
+        raw = report_path.read_text(encoding="utf-8")
+    except OSError as e:  # a directory, say; a decode error is a ValueError already
+        raise ValueError(f"cannot read {report_path}: {e.strerror or e}") from e
+    try:
+        report = json.loads(raw)
+    except RecursionError as e:
         raise ValueError(f"{report_path} is not valid JSON: {e}") from e
-    model_ids = args.models.split(",") if args.models else _legend_from_report(report)
-    text = evaluation.render_tables(report, model_ids)
+    try:
+        model_ids = args.models.split(",") if args.models else _legend_from_report(report)
+        text = evaluation.render_tables(report, model_ids)
+    except (AttributeError, KeyError, TypeError, IndexError) as e:
+        # valid JSON, but a value is not of the shape eval writes there
+        raise ValueError(f"{report_path} is not a multirag report "
+                         f"({type(e).__name__}: {e})") from e
     print(text)
     if args.outdir:
         out = Path(args.outdir) / "tables.txt"

@@ -9,8 +9,10 @@ tie-breaking rule downstream refers to.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import logging
+import mmap
 import os
 import tempfile
 import threading
@@ -21,6 +23,7 @@ from functools import cached_property
 from itertools import chain, groupby, repeat
 from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,6 +51,12 @@ NORM_ROWS = 256
 # numpy releases the GIL only in a loop of more than 500 rows, which the
 # load's two threads need (see _load_matrix)
 STEP_ROWS = 512
+# a stored matrix of fewer steps is never read through its float32 copy: below
+# this the coarse path's fixed costs (a second file header, the shortlist, the
+# gather and any step recomputed) outweigh reading half the bytes
+COARSE_MIN_STEPS = 8
+# unit roundoff of float32 and of float64
+_U32, _U64 = 2.0 ** -24, 2.0 ** -53
 # a snapshot of at least this many bytes is hashed on a helper thread while it
 # is checked; below it, starting the thread costs more than the hash (on a
 # 2-vCPU VM the two broke even at about 0.65 MB)
@@ -102,6 +111,11 @@ class ChunkIndex:
     ``product(provider, vector)`` is ``matrix(provider) @ vector``, taken
     in steps of ``STEP_ROWS`` rows; on a stored matrix's first use the same
     pass also checks the file (see ``_load_matrix``).
+
+    ``shortlist`` serves a selection from the stored matrix's float32 copy,
+    ``<key>.f32.npy``, reading float64 rows only where the copy's error
+    bound cannot rank them (see ``shortlist`` and ``coarse_bounds``); the
+    copy is written the first time that path finds none, or a bad one.
     """
 
     def __init__(self, ids: list[str], kinds: list[str] | bytes | None = None,
@@ -126,7 +140,7 @@ class ChunkIndex:
                                             []))
         self._digest = digest
         self._lock = threading.Lock()
-        # provider -> [lock, matrix]; the lock makes concurrent first uses build once
+        # provider -> _Slot; its lock makes concurrent first uses build once
         self._matrices: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     def __len__(self) -> int:
@@ -150,35 +164,139 @@ class ChunkIndex:
         one thread; where BLAS splits it among threads, a row can differ
         from the full product in its last bit (see ``_step_bounds``).
         """
-        block, scores = self._filled(provider, vector)
+        return self.shortlist(provider, vector, None)[1]
+
+    def shortlist(self, provider, vector: np.ndarray,
+                  groups: list[tuple[np.ndarray | None, int]] | None):
+        """``(positions, values)`` that rank the best ``quota`` rows of each
+        ``(positions or None for every row, quota)`` in ``groups`` exactly as
+        ``product(provider, vector)`` does, or ``(None, that product)``.
+
+        The coarse path serves the first form. It takes a stored matrix of
+        at least ``COARSE_MIN_STEPS`` steps that this index holds no
+        float64 copy of, and reads its float32 copy: ``positions`` are
+        ascending and hold each group's shortlist, every row whose coarse
+        score is at least the group's quota-th coarse score minus 2 eps;
+        ``values`` holds their scores clipped to [-1, 1], each either the
+        stepped product's or within eta of it and farther than 2 eta from
+        every other (see ``coarse_bounds`` and ``_resolve``). Sorting by
+        value, then position, gives the product's order of these rows; the
+        rows outside them score below each group's cut. Any other case takes
+        the full pass, which writes the copy if the coarse path found none
+        or rejected it.
+        """
+        block, scores, found = self._filled(provider, vector, groups)
+        if found is not None:
+            return found
         if scores is None:
             scores = np.empty(len(block))
             _row_steps(block, vector, scores, None, _step_bounds(len(block)))
-        return scores
+        return None, scores
 
-    def _filled(self, provider, vector: np.ndarray | None = None):
-        """The provider's matrix, loaded or built on first use, and its
-        product with ``vector`` if loading it computed one, else None."""
+    def _filled(self, provider, vector: np.ndarray | None = None,
+                groups: list[tuple[np.ndarray | None, int]] | None = None):
+        """``(matrix, product, None)``: the provider's matrix, loaded or built
+        on first use, and its product with ``vector`` if loading it computed
+        one, else None; or ``(None, None, shortlist)`` where the coarse path
+        served ``groups``."""
         with self._lock:
-            slot = self._matrices.setdefault(provider, [threading.Lock(), None])
-        with slot[0]:
-            if slot[1] is not None:
-                return slot[1], None
+            slot = self._matrices.setdefault(provider, _Slot())
+        with slot.lock:
+            if slot.block is not None:
+                return slot.block, None, None
             if self._texts is None:
                 raise ValueError("this index holds no chunk texts to embed")
+            t0 = time.perf_counter()
+            rows = len(self._texts)
             path = None if self._store is None else self.stored_path(provider)
-            block, scores = (None, None) if path is None else _load_matrix(
-                path, len(self._texts), provider, vector)
+            coarse = groups is not None and path is not None and (
+                rows // STEP_ROWS >= COARSE_MIN_STEPS)
+            if slot.coarse is not None:
+                mapped = slot.coarse[1]
+            else:
+                # the coarse path knows the shape to expect, so it can skip np.load's header parse
+                mapped = _map_exact(path, "<f8", (rows, len(vector))) if coarse else None
+                if not isinstance(mapped, np.ndarray):
+                    mapped = None if path is None else _map_matrix(path, rows)
+            if coarse:
+                found = "no stored matrix" if mapped is None else self._coarse(
+                    slot, path, mapped, provider, vector, groups, t0)
+                if not isinstance(found, str):
+                    return None, None, found
+                reason = found
+            elif groups is None:
+                reason = "whole row needed"
+            else:
+                reason = ("no store" if path is None
+                          else f"a matrix of fewer than {COARSE_MIN_STEPS} steps")
+            block, scores = (None, None) if mapped is None else _load_matrix(
+                path, mapped, provider, vector, reason)
             if block is None:
                 t0 = time.perf_counter()
                 block = _unit_rows(provider.embed_matrix(self._texts))
-                log.debug("built the %d x %d corpus matrix of %r in %.3f s",
-                          *block.shape, provider.model_id, time.perf_counter() - t0)
+                log.debug("built the %d x %d corpus matrix of %r in %.3f s; full pass: %s",
+                          *block.shape, provider.model_id, time.perf_counter() - t0, reason)
                 if path is not None:
                     _write_atomic(path, lambda f: np.save(f, block, allow_pickle=False),
                                   "corpus matrix")
-            slot[1] = block
-            return block, scores
+            if coarse:
+                _write_copy(path, block)
+            slot.block, slot.coarse = block, None
+            return block, scores, None
+
+    def _coarse(self, slot: _Slot, path: Path, mapped: np.ndarray, provider,
+                vector: np.ndarray, groups: list[tuple[np.ndarray | None, int]],
+                started: float):
+        """``shortlist``'s coarse path over ``mapped``, the float64 file at
+        ``path`` mapped since ``started``, or why it cannot serve.
+
+        The first use maps the float32 copy and checks its header and, in
+        the scan's one pass, that every row is unit-norm within the bound's
+        tolerance (a non-finite entry fails that too); the slot then holds
+        both maps, and a later use scans the copy only. Every float64 row
+        read is held to ``UNIT_NORM_TOL``, and every gathered score must lie
+        within eps + eta of its coarse score, or the copy is dropped.
+        """
+        rows, dim = mapped.shape
+        if dim != len(vector):
+            return f"a query of dimension {len(vector)} for rows of {dim}"
+        first = slot.coarse is None
+        copy = _map_exact(_copy_path(path), "<f4", (rows, dim)) if first else slot.coarse[0]
+        if copy is None:
+            return "no float32 copy"
+        if isinstance(copy, str):
+            return _reject_copy(_copy_path(path), copy)
+        bound = coarse_bounds(dim)
+        bounds = _step_bounds(rows)
+        t1 = time.perf_counter()
+        coarse = np.empty(rows, dtype=np.float32)
+        squares = np.empty(rows, dtype=np.float32) if first else None
+        _two_thread_pass(copy, vector.astype(np.float32), coarse, squares, bounds)
+        if first:
+            problem = _norm_problem(copy, squares, bound.norm_tol)
+            if problem is not None:
+                return _reject_copy(_copy_path(path), problem)
+        t2 = time.perf_counter()
+        positions = _shortlist(coarse, groups, bound.eps)
+        t3 = time.perf_counter()
+        try:
+            values = _gather(mapped, vector, positions, coarse[positions], bound)
+            t4 = time.perf_counter()
+            recomputed = _resolve(mapped, vector, bounds, positions, values, bound.eta)
+        except _Unranked as e:
+            log.warning("dropped the float32 copy %s (%s); rewriting it", _copy_path(path), e)
+            slot.coarse = None
+            return str(e)
+        if first:
+            provider.hold_dims({dim})
+            slot.coarse = (copy, mapped)
+            log.debug("scanned the float32 copy of the %d x %d corpus matrix of %r from %s; "
+                      "coarse path: shortlist of %d rows gathered, %d steps recomputed "
+                      "(map %.2f ms, scan %.2f ms, shortlist %.2f ms, gather %.2f ms, "
+                      "recompute %.2f ms)", rows, dim, provider.model_id, path,
+                      len(positions), recomputed, (t1 - started) * 1e3, (t2 - t1) * 1e3,
+                      (t3 - t2) * 1e3, (t4 - t3) * 1e3, (time.perf_counter() - t4) * 1e3)
+        return positions, values
 
     def stored_path(self, provider) -> Path:
         """``<store>/<key>.npy``: the key hashes the provider's fingerprint and
@@ -239,32 +357,14 @@ def _row_steps(block: np.ndarray, vector: np.ndarray | None, scores: np.ndarray 
                       out=squares[start:stop, None, None])
 
 
-def _load_matrix(path: Path, rows: int, provider,
-                 vector: np.ndarray | None = None) -> tuple[np.ndarray | None, ...]:
-    """``(matrix, matrix @ vector)`` for the stored matrix at ``path``, mapped
-    read-only, if it passes every rule a built one does, else ``(None, None)``.
-
-    One pass reads the file once: each step of ``STEP_ROWS`` rows gives its
-    rows' scores and sums of squares while it is in cache. This thread
-    takes the first half of the steps and a second thread the rest (numpy
-    releases the GIL in both products); a matrix of one step is read on
-    this thread alone. The thread has ended when this returns or raises,
-    and an error on it is raised here. When ``vector`` does not fit the
-    matrix, the pass computes the squares only and the product is None.
-    The scores are kept only if every row is unit-norm. A dimension that
-    disagrees with the provider's raises ``DimensionMismatchError``, as a
-    freshly embedded block would, but only once the check has passed: an
-    invalid file is rebuilt.
-    """
-    block = _map_matrix(path, rows)
-    if block is None:
-        return None, None
-    t0 = time.perf_counter()
-    if vector is not None and block.shape[1] != len(vector):
-        vector = None
-    scores = None if vector is None else np.empty(rows)
-    squares = np.empty(rows)
-    bounds = _step_bounds(rows)
+def _two_thread_pass(block: np.ndarray, vector: np.ndarray | None,
+                     scores: np.ndarray | None, squares: np.ndarray | None,
+                     bounds: list[int]) -> None:
+    """``_row_steps`` over every step between ``bounds``: this thread takes
+    the first half of the steps and a second thread the rest (numpy releases
+    the GIL in both products); a matrix of one step is read on this thread
+    alone. The thread has ended when this returns or raises, and an error on
+    it is raised here."""
     half = len(bounds) // 2
     errors: list[BaseException] = []
 
@@ -285,13 +385,37 @@ def _load_matrix(path: Path, rows: int, provider,
             thread.join()
     if errors:
         raise errors[0]
+
+
+def _load_matrix(path: Path, block: np.ndarray, provider, vector: np.ndarray | None,
+                 reason: str) -> tuple[np.ndarray | None, ...]:
+    """``(block, block @ vector)`` for ``block``, the stored matrix at
+    ``path`` as ``_map_matrix`` mapped it, if it passes every rule a built
+    one does, else ``(None, None)``; ``reason`` says why no coarse path.
+
+    One pass (``_two_thread_pass``) reads the file once: each step of
+    ``STEP_ROWS`` rows gives its rows' scores and sums of squares while it
+    is in cache. When ``vector`` does not fit the matrix, the pass computes
+    the squares only and the product is None. The scores are kept only if
+    every row is unit-norm. A dimension that disagrees with the provider's
+    raises ``DimensionMismatchError``, as a freshly embedded block would,
+    but only once the check has passed: an invalid file is rebuilt.
+    """
+    t0 = time.perf_counter()
+    rows = len(block)
+    if vector is not None and block.shape[1] != len(vector):
+        vector = None
+    scores = None if vector is None else np.empty(rows)
+    squares = np.empty(rows)
+    _two_thread_pass(block, vector, scores, squares, _step_bounds(rows))
     problem = _norm_problem(block, squares)
     if problem is not None:
         _reject(path, problem, rows)
         return None, None
     provider.hold_dims({block.shape[1]})
-    log.debug("loaded the %d x %d corpus matrix of %r from %s (one pass %.1f ms)",
-              *block.shape, provider.model_id, path, (time.perf_counter() - t0) * 1e3)
+    log.debug("loaded the %d x %d corpus matrix of %r from %s (one pass %.1f ms); "
+              "full pass: %s", *block.shape, provider.model_id, path,
+              (time.perf_counter() - t0) * 1e3, reason)
     return block, scores
 
 
@@ -309,20 +433,219 @@ def _map_matrix(path: Path, rows: int) -> np.ndarray | None:
         return None
     if (not isinstance(block, np.ndarray) or block.dtype != np.float64 or block.ndim != 2
             or block.shape[0] != rows or block.shape[1] == 0):
-        _reject(path, f"{getattr(block, 'dtype', type(block).__name__)} "
-                      f"of shape {getattr(block, 'shape', None)}", rows)
+        _reject(path, _described(block), rows)
         return None
     return block.view(np.ndarray)
 
 
-def _norm_problem(block: np.ndarray, squares: np.ndarray) -> str | None:
+def _described(block) -> str:
+    return (f"{getattr(block, 'dtype', type(block).__name__)} "
+            f"of shape {getattr(block, 'shape', None)}")
+
+
+def _norm_problem(block: np.ndarray, squares: np.ndarray,
+                  tol: float = UNIT_NORM_TOL) -> str | None:
     """Why ``block``'s rows, whose sums of squares are ``squares``, are not
-    all unit-norm, or None if they are."""
+    all unit-norm within ``tol``, or None if they are."""
     # a non-finite entry makes its row's sum of squares inf or nan, failing this too
-    if (np.abs(np.sqrt(squares) - 1.0) <= UNIT_NORM_TOL).all():
+    if (np.abs(np.sqrt(squares, dtype=np.float64) - 1.0) <= tol).all():
         return None
     return ("non-finite entries" if not np.isfinite(block).all()
             else "rows that are not unit-norm")
+
+
+class _Slot:
+    """One provider's matrix in a ``ChunkIndex``: ``block``, the checked
+    matrix once held, else ``coarse``, the float32 copy and the float64 file
+    that the coarse path has mapped and checked, or None."""
+
+    __slots__ = ("lock", "block", "coarse")
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.block: np.ndarray | None = None
+        self.coarse: tuple[np.ndarray, np.ndarray] | None = None
+
+
+class CoarseBounds(NamedTuple):
+    eps: float       # |float32 coarse score - float64 stepped score|, any row
+    eta: float       # |gathered float64 score - float64 stepped score|, any row
+    norm_tol: float  # how far a float32 copy row's computed norm may be from 1
+
+
+def coarse_bounds(dim: int) -> CoarseBounds:
+    """Rounding-error bounds of the coarse path for rows of ``dim`` columns.
+
+    A float64 row x that passes its check has |x| <= 1 + UNIT_NORM_TOL, and
+    a query q normalised in float64 has |q| <= 1 + gamma64(dim + 2). The
+    copy x32 and the float32 query q32 round each entry by a factor within
+    1 +- u, u = 2**-24, and any summation order of an n-term dot product in
+    a precision of unit roundoff u is within gamma(n) * sum |x_i q_i| <=
+    gamma(n) |x| |q| of the exact one, gamma(n) = n u / (1 - n u) (Higham,
+    "Accuracy and Stability of Numerical Algorithms", 2002, section 3.1;
+    gamma64 takes u = 2**-53). So the float32 score and the float64 stepped
+    score differ by at most
+
+        eps = gamma32(dim) |x32| |q32| + (2u + u**2) |x| |q| + gamma64(dim) |x| |q|,
+
+    and two float64 dot products of the same rows, such as a gathered one
+    and a stepped one, by at most eta = 2 gamma64(dim) |x| |q|. A copy row
+    whose float32 sum of squares has a square root within norm_tol of 1
+    may be the rounding of a checked row: the entries' rounding, the sum's
+    and the square root's add up to less than that.
+    """
+    def gamma(n: int, u: float) -> float:
+        return n * u / (1.0 - n * u)
+
+    g32, g64 = gamma(dim, _U32), gamma(dim, _U64)
+    row = 1.0 + UNIT_NORM_TOL
+    query = 1.0 + gamma(dim + 2, _U64)
+    eps = (g32 * row * query * (1.0 + _U32) ** 2
+           + (2.0 * _U32 + _U32 ** 2) * row * query + g64 * row * query)
+    return CoarseBounds(eps=eps, eta=2.0 * g64 * row * query,
+                        norm_tol=UNIT_NORM_TOL + 2.0 * _U32 + g32)
+
+
+def _copy_path(path: Path) -> Path:
+    """``<key>.f32.npy``, the float32 copy of the matrix at ``<key>.npy``."""
+    return path.with_suffix(".f32.npy")
+
+
+def _npy_header(descr: str, shape: tuple[int, ...]) -> bytes:
+    """The header ``np.save`` writes before a C-order array of ``descr`` and ``shape``."""
+    buffer = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buffer, {"descr": descr, "fortran_order": False, "shape": shape})
+    return buffer.getvalue()
+
+
+def _map_exact(path: Path, descr: str, shape: tuple[int, int]) -> np.ndarray | str | None:
+    """The .npy file at ``path`` mapped read-only if it starts with
+    ``_npy_header(descr, shape)`` and holds exactly that array's bytes,
+    None if there is no file, else why not.
+
+    Comparing the header bytes takes far less time than parsing them as
+    ``np.load`` does; a file whose header was written another way is
+    reported, not parsed.
+    """
+    header = _npy_header(descr, shape)
+    try:
+        with open(path, "rb") as f:
+            if f.read(len(header)) != header:
+                return f"a header other than that of {descr} of shape {shape}"
+            data = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+    except FileNotFoundError:
+        return None
+    except (OSError, ValueError) as e:
+        return str(e)
+    count = shape[0] * shape[1]
+    want = len(header) + count * np.dtype(descr).itemsize
+    if len(data) != want:
+        size = len(data)
+        data.close()
+        return f"{size} bytes, want {want}"
+    return np.frombuffer(data, dtype=descr, count=count, offset=len(header)).reshape(shape)
+
+
+def _reject_copy(path: Path, problem: str) -> str:
+    log.warning("rejected the float32 copy %s (%s); rewriting it", path, problem)
+    return f"float32 copy rejected ({problem})"
+
+
+def _write_copy(path: Path, block: np.ndarray) -> None:
+    """Write ``block`` in float32 to its copy's path beside ``path``, converted
+    one step at a time so that no full-size temporary exists."""
+    def write(f):
+        f.write(_npy_header("<f4", block.shape))
+        for start in range(0, len(block), STEP_ROWS):
+            f.write(block[start:start + STEP_ROWS].astype("<f4"))
+
+    _write_atomic(_copy_path(path), write, "float32 copy of the corpus matrix")
+
+
+def _shortlist(coarse: np.ndarray, groups: list[tuple[np.ndarray | None, int]],
+               eps: float) -> np.ndarray:
+    """Ascending positions of every row whose coarse score, clipped to
+    [-1, 1], is at least its group's quota-th best minus 2 ``eps``.
+
+    Each group is ``(positions, quota)``, positions None for every row.
+    Scores are clipped, as ``score_all`` clips them, before they are ranked:
+    a row left out scores, exactly, below each of the quota rows with the
+    best coarse scores, since each score is within ``eps`` of its coarse
+    one and clipping keeps that.
+    """
+    scores = np.clip(coarse.astype(np.float64), -1.0, 1.0)
+    picks = []
+    for positions, quota in groups:
+        values = scores if positions is None else scores[positions]
+        if quota >= len(values):
+            kept = np.arange(len(values))
+        elif quota > 0:
+            cut = np.partition(values, len(values) - quota)[len(values) - quota]
+            kept = np.flatnonzero(values >= cut - 2.0 * eps)
+        else:
+            continue
+        picks.append(kept if positions is None else positions[kept])
+    return np.unique(np.concatenate(picks)) if picks else np.empty(0, dtype=np.intp)
+
+
+class _Unranked(Exception):
+    """Float64 rows that the coarse path read break a rule: the copy is dropped."""
+
+
+def _gather(block: np.ndarray, vector: np.ndarray, positions: np.ndarray,
+            coarse: np.ndarray, bound: CoarseBounds) -> np.ndarray:
+    """The float64 scores of the rows at ``positions``, clipped to [-1, 1]:
+    one gathered product, within eta of the stepped one.
+
+    Each row read must be unit-norm within ``UNIT_NORM_TOL``, and each score
+    within eps + eta of ``coarse``, the rows' coarse scores; else
+    ``_Unranked`` is raised.
+    """
+    rows = block[positions]
+    scores = rows @ vector
+    problem = _norm_problem(rows, np.einsum("ij,ij->i", rows, rows))
+    if problem is not None:
+        raise _Unranked(f"float64 {problem} among the rows gathered")
+    gap = np.abs(scores - coarse)
+    if not (gap <= bound.eps + bound.eta).all():
+        worst = int(np.argmax(gap))  # the rows and the copy passed their checks: finite
+        raise _Unranked(f"float32 copy incoherent (row {int(positions[worst])} scores "
+                        f"{float(coarse[worst])!r}, its float64 row {float(scores[worst])!r})")
+    return np.clip(scores, -1.0, 1.0, out=scores)
+
+
+def _resolve(block: np.ndarray, vector: np.ndarray, bounds: list[int],
+             positions: np.ndarray, values: np.ndarray, eta: float) -> int:
+    """Replace ``values`` of the rows at ``positions`` that their gathered
+    values cannot order with the stepped product's, and return how many
+    steps that recomputed.
+
+    Sorted by value, two neighbours farther apart than 2 ``eta`` keep
+    their order whatever the stepped scores within eta of them are, so only
+    a run of neighbours each within 2 eta of the next, such as exact
+    duplicates, needs the stepped scores: each step holding a row of such a
+    run is recomputed whole by ``_row_steps``, as the full pass computes
+    it, and its rows held to ``UNIT_NORM_TOL``.
+    """
+    order = np.argsort(-values, kind="stable")
+    close = np.diff(values[order]) >= -2.0 * eta
+    if not close.any():
+        return 0
+    unsure = np.zeros(len(order), dtype=bool)
+    unsure[:-1] |= close
+    unsure[1:] |= close
+    steps = np.unique(np.searchsorted(bounds, positions[order[unsure]], side="right") - 1)
+    for step in steps.tolist():
+        start, stop = bounds[step], bounds[step + 1]
+        scores, squares = np.empty(stop - start), np.empty(stop - start)
+        _row_steps(block[start:stop], vector, scores, squares, [0, stop - start])
+        problem = _norm_problem(block[start:stop], squares)
+        if problem is not None:
+            raise _Unranked(f"float64 {problem} in a step recomputed")
+        inside = (positions >= start) & (positions < stop)
+        values[inside] = np.clip(scores[positions[inside] - start], -1.0, 1.0)
+    return len(steps)
 
 
 def _reject(path: Path, problem: str, rows: int) -> None:

@@ -144,8 +144,10 @@ class DeterministicProvider(_CachingProvider):
         return block
 
     def _vector(self, text: str) -> np.ndarray:
-        digest = hashlib.blake2b(
-            f"{self.model_id}\x00{text}".encode("utf-8"), digest_size=8).digest()
+        # "surrogatepass", as derive_seed: the loaders keep a lone surrogate that a
+        # "\ud800" escape spells, and every other text encodes as before
+        digest = hashlib.blake2b(f"{self.model_id}\x00{text}".encode("utf-8", "surrogatepass"),
+                                 digest_size=8).digest()
         return np.random.default_rng(int.from_bytes(digest, "big")).standard_normal(self.dim)
 
 

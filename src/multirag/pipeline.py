@@ -85,12 +85,18 @@ def map_concurrent(fn, items: list, concurrency: int) -> list:
 
 
 def _row(question_id: str, question: str, model_id: str, corpus: Corpus,
-         config: PipelineConfig, memo: dict | None):
-    """The question's similarity row for one model, scored once per ``memo``."""
+         config: PipelineConfig, memo: dict | None, select=None):
+    """The question's similarity row for one model, scored once per ``memo``.
+
+    ``select`` is the one selection the caller reads. It is passed on to
+    ``score_all`` only where it can help: with no memo to share the row
+    with other flows, and a store that may hold a float32 copy.
+    """
     row = memo.get(("row", model_id)) if memo is not None else None
     if row is None:
+        only = {"select": select} if memo is None and corpus.store is not None else {}
         row = _stage("retrieval", lambda: retrieval.score_all(
-            config.provider(model_id), question, corpus, question_id=question_id))
+            config.provider(model_id), question, corpus, question_id=question_id, **only))
         if memo is not None:
             memo[("row", model_id)] = row
     return row
@@ -110,7 +116,8 @@ def run_vanilla(question_id: str, question: str, model_id: str,
     if config.k == 0:
         ids = []
     else:
-        row = _row(question_id, question, model_id, corpus, config, memo)
+        row = _row(question_id, question, model_id, corpus, config, memo,
+                   select=config.quotas or config.k)
         if config.quotas:
             ids = retrieval.top_k_by_kind(row, config.quotas)
         else:

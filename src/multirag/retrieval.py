@@ -9,7 +9,10 @@ by (score descending, ingestion order ascending) but sorts only the
 chunks that can make its cut: ``np.partition`` finds the score of the
 q-th best, and every chunk scoring at least that, ties included, is
 stable-sorted. Each row caches its selections and Z-scores, so a row
-shared by several model combinations is processed once.
+shared by several model combinations is processed once. A row scored for
+one selection only (``score_all``'s ``select``) may hold just that
+selection, ranked from a stored matrix's float32 copy, until a use needs
+the whole row.
 
 Fusion pools each model's top candidates, deduplicates chunk ids keeping
 the strongest standardized score, and re-sorts globally: (standardized
@@ -86,8 +89,36 @@ class SimilarityRow:
         self.model_id = model_id
         self.question_id = question_id
         self.index = index
-        self.values = values
+        self._values = values
+        self._complete = None
         self._cache: dict = {}
+
+    @classmethod
+    def _partial(cls, model_id: str, question_id: str, index: ChunkIndex, select,
+                 positions: np.ndarray, values: np.ndarray, complete) -> SimilarityRow:
+        """A row that holds only its ``select`` selection (a k or a quotas
+        dict), ranked from ``values`` at ascending ``positions`` (see
+        ``ChunkIndex.shortlist``); ``complete()`` gives the whole row on the
+        first use that needs it."""
+        row = cls.__new__(cls)
+        row.model_id, row.question_id, row.index = model_id, question_id, index
+        row._values, row._complete = None, complete
+        if isinstance(select, dict):
+            codes = index.kind_codes[positions]
+            local = {kind: np.flatnonzero(codes == code) for code, kind in enumerate(KINDS)}
+            row._cache = {("kind", tuple(select.items())):
+                          positions[_by_kind(values, local, select)]}
+        else:
+            row._cache = {("top", select): positions[_best(values, select)]}
+        return row
+
+    @property
+    def values(self) -> np.ndarray:
+        """Raw score per position, aligned with ``index``."""
+        if self._values is None:
+            self._values = self._complete().values
+            self._complete = None
+        return self._values
 
     @property
     def scores(self) -> ScoreMap:
@@ -122,15 +153,22 @@ class SimilarityRow:
         if key not in self._cache:
             if self.index.kind_codes is None:
                 raise ValueError("per-kind quotas require an index with chunk kinds")
-            empty = np.empty(0, dtype=np.intp)
-            picks = []
-            for kind, quota in quotas.items():
-                positions = self.index.kind_positions.get(kind, empty)
-                picks.append(positions[_best(self.values[positions], quota)])
-            p = np.concatenate(picks) if picks else empty
-            # each kind's picks are in rank order; merge them into the row's
-            self._cache[key] = p[np.lexsort((p, -self.values[p]))]
+            self._cache[key] = _by_kind(self.values, self.index.kind_positions, quotas)
         return self._cache[key]
+
+
+def _by_kind(values: np.ndarray, kind_positions: dict[str, np.ndarray],
+             quotas: dict[str, int]) -> np.ndarray:
+    """Indices of the best ``quotas[kind]`` of ``values`` at each kind's
+    ascending ``kind_positions``, merged by (value descending, index ascending)."""
+    empty = np.empty(0, dtype=np.intp)
+    picks = []
+    for kind, quota in quotas.items():
+        positions = kind_positions.get(kind, empty)
+        picks.append(positions[_best(values[positions], quota)])
+    p = np.concatenate(picks) if picks else empty
+    # each kind's picks are in rank order; merge them into the row's
+    return p[np.lexsort((p, -values[p]))]
 
 
 def _best(values: np.ndarray, q: int) -> np.ndarray:
@@ -169,15 +207,43 @@ class RetrievalCandidate:
 
 
 def score_all(provider, question: str, corpus: Corpus,
-              question_id: str = "") -> SimilarityRow:
-    """Cosine-score the question against every corpus chunk."""
+              question_id: str = "", select: int | dict[str, int] | None = None
+              ) -> SimilarityRow:
+    """Cosine-score the question against every corpus chunk.
+
+    ``select``, a k or a quotas dict, says that the row is read for that
+    one selection (``top(k)`` or ``by_kind(quotas)``). The index may then
+    rank it from a stored matrix's float32 copy (``ChunkIndex.shortlist``),
+    and the row computes the whole product on its first other use: its
+    ``values``, ``scores``, ``zscores()`` and selections are then those of
+    the row scored without ``select``, bit for bit.
+    """
     if not len(corpus):
         raise ValueError("cannot score a question against an empty corpus")
     index = corpus.index()
     query = provider.embed([question])[0].values
-    scores = index.product(provider, query / np.linalg.norm(query))
-    np.clip(scores, -1.0, 1.0, out=scores)
-    return SimilarityRow(provider.model_id, question_id, scores, index)
+    vector = query / np.linalg.norm(query)
+    groups = None
+    if isinstance(select, dict):
+        # an index without kinds, or a negative quota, raises from by_kind as without select
+        if index.kind_codes is not None and min(select.values(), default=0) >= 0:
+            empty = np.empty(0, dtype=np.intp)
+            groups = [(index.kind_positions.get(kind, empty), quota)
+                      for kind, quota in select.items()]
+    elif select is not None and select >= 0:
+        groups = [(None, select)]
+
+    def whole(scores: np.ndarray | None = None) -> SimilarityRow:
+        if scores is None:
+            scores = index.product(provider, vector)
+        np.clip(scores, -1.0, 1.0, out=scores)
+        return SimilarityRow(provider.model_id, question_id, scores, index)
+
+    positions, values = index.shortlist(provider, vector, groups)
+    if positions is None:
+        return whole(values)
+    return SimilarityRow._partial(provider.model_id, question_id, index, select,
+                                  positions, values, whole)
 
 
 def top_k(row: SimilarityRow, k: int) -> list[str]:

@@ -254,6 +254,17 @@ class TestEval:
         assert ((tmp_path / "again" / "tables.txt").read_bytes()
                 == (outdir / "tables.txt").read_bytes())
 
+    def test_a_lone_surrogate_question_is_embedded(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        gold = Path(json.loads(cfg.read_text())["gold_path"])
+        rows = [json.loads(line) for line in gold.read_text().splitlines()]
+        rows[2]["question"] = "How \ud800 many?"
+        gold.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        assert main(["eval", "--config", str(cfg)]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert len(report["questions"]) == len(rows)
+        assert main(["ask", "How \ud800 many?", "--config", str(cfg)]) == 0
+
     def test_rerun_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["eval", "--config", str(cfg), "--out",
@@ -456,6 +467,22 @@ class TestReport:
 
     def test_missing_report(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nope.json")]) == 1
+
+    @pytest.mark.parametrize("text", [
+        "[]", '{"vanilla_rag": 5}', '{"mixture": "x"}', '{"confident": {"dp": 3}}',
+        '{"vanilla_rag": {"per_model": []}}', '{"vanilla_llm": {}, "vanilla_rag": {"avg": 1}}'])
+    def test_a_report_of_another_shape(self, tmp_path, capsys, text):
+        path = tmp_path / "report.json"
+        path.write_text(text)
+        assert main(["report", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path} is not a multirag report (")
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
+    def test_a_report_path_that_is_a_directory(self, tmp_path, capsys):
+        assert main(["report", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot read {tmp_path}: Is a directory\n"
 
     def test_deeply_nested_report(self, tmp_path, capsys):
         path = tmp_path / "report.json"

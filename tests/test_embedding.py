@@ -76,6 +76,28 @@ class TestDeterministicProvider:
         assert (matrix[[0, 2]] == np.array([real("one"), real("two")])).all()
 
 
+class TestVectorBits:
+    """The bytes a text's vector is seeded from are its UTF-8, so the
+    vectors, and every stored matrix keyed by VECTOR_VERSION, stay as they were."""
+
+    def test_an_ordinary_text(self):
+        vector = DeterministicProvider("det-a", dim=8)._vector("Ann has 3 coins. How many coins?")
+        assert vector.tolist() == [
+            0.40055595151324913, 1.1664410213662209, -0.7796469945497265, 0.15680014378328255,
+            0.4998027471746311, 0.7654360978848359, 0.24282362031100768, -0.5811533234441957]
+
+    def test_a_non_ascii_text(self):
+        vector = DeterministicProvider("det-b", dim=384)._vector("café ☕ 7")
+        assert hashlib.sha256(vector.tobytes()).hexdigest() == (
+            "a99a4e9e800be1490c76d899b3d527b457f32eeb429ff11a571e3a7c61356f93")
+
+    def test_a_lone_surrogate(self):
+        provider = DeterministicProvider("det-a", dim=8)
+        (vector,) = provider.embed(["How \ud800 many?"])
+        assert vector.values.shape == (8,)
+        assert not np.array_equal(vector.values, provider._vector("How \udc00 many?"))
+
+
 class TestCosine:
     """Properties of ``kernels.cosine_scores``, the reference scorer for retrieval."""
 
