@@ -65,6 +65,9 @@ HASH_THREAD_BYTES = 768 * 1024
 # constructor keeps its recursion depth in state all threads share: two threads
 # loading at once can fail with "AST constructor recursion depth mismatch"
 _NPY_LOAD_LOCK = threading.Lock()
+# what opening a stored file raises where there is none: a path under a
+# regular file, such as an unwritable store's, holds no file either
+_NO_FILE = (FileNotFoundError, NotADirectoryError)
 
 
 @dataclass(frozen=True)
@@ -107,7 +110,12 @@ class ChunkIndex:
     no digest digests its own ids, kinds and texts by the same rule. A
     missing or invalid file is built as without a store and then written.
     A stored matrix is memory-mapped read-only, so processes that load one
-    file share its page-cache copy; a built one stays in memory.
+    file share its page-cache copy. A matrix built for a selection that can
+    take the coarse path (below) is written with its float32 copy and then
+    dropped, so the built block is freed once that selection returns and
+    later uses map the two files as a warm index does; every other build (a
+    whole row, a matrix of fewer than ``COARSE_MIN_STEPS`` steps, no store
+    or a failed write) stays in memory.
     ``product(provider, vector)`` is ``matrix(provider) @ vector``, taken
     in steps of ``STEP_ROWS`` rows; on a stored matrix's first use the same
     pass also checks the file (see ``_load_matrix``).
@@ -198,7 +206,8 @@ class ChunkIndex:
         """``(matrix, product, None)``: the provider's matrix, loaded or built
         on first use, and its product with ``vector`` if loading it computed
         one, else None; or ``(None, None, shortlist)`` where the coarse path
-        served ``groups``."""
+        served ``groups``. A matrix built for the coarse path is returned
+        for this one use and not held once it and its copy are stored."""
         with self._lock:
             slot = self._matrices.setdefault(provider, _Slot())
         with slot.lock:
@@ -231,18 +240,34 @@ class ChunkIndex:
                           else f"a matrix of fewer than {COARSE_MIN_STEPS} steps")
             block, scores = (None, None) if mapped is None else _load_matrix(
                 path, mapped, provider, vector, reason)
-            if block is None:
-                t0 = time.perf_counter()
-                block = _unit_rows(provider.embed_matrix(self._texts))
-                log.debug("built the %d x %d corpus matrix of %r in %.3f s; full pass: %s",
-                          *block.shape, provider.model_id, time.perf_counter() - t0, reason)
-                if path is not None:
-                    _write_atomic(path, lambda f: np.save(f, block, allow_pickle=False),
-                                  "corpus matrix")
-            if coarse:
-                _write_copy(path, block)
+            if block is not None:
+                if coarse:
+                    _write_copy(path, block)
+                slot.block, slot.coarse = block, None
+                return block, scores, None
+            t0 = time.perf_counter()
+            block = _unit_rows(provider.embed_matrix(self._texts))
+            log.debug("built the %d x %d corpus matrix of %r in %.3f s; full pass: %s",
+                      *block.shape, provider.model_id, time.perf_counter() - t0, reason)
+            if path is None:
+                kept = "no store"
+            elif not _write_atomic(path, lambda f: np.save(f, block, allow_pickle=False),
+                                   "corpus matrix"):
+                kept = "write failed"
+            elif not coarse:
+                kept = reason
+            elif not _write_copy(path, block):
+                kept = "write failed"
+            else:
+                # later uses map and check the files as a warm engine does
+                log.debug("serving %r from the stored files %s and %s; releasing the "
+                          "%.1f MB matrix it built", provider.model_id, path.name,
+                          _copy_path(path).name, block.nbytes / 1e6)
+                slot.block = slot.coarse = None
+                return block, None, None
+            log.debug("keeping the built matrix of %r in memory: %s", provider.model_id, kept)
             slot.block, slot.coarse = block, None
-            return block, scores, None
+            return block, None, None
 
     def _coarse(self, slot: _Slot, path: Path, mapped: np.ndarray, provider,
                 vector: np.ndarray, groups: list[tuple[np.ndarray | None, int]],
@@ -426,7 +451,7 @@ def _map_matrix(path: Path, rows: int) -> np.ndarray | None:
     try:
         with _NPY_LOAD_LOCK:
             block = np.load(path, mmap_mode="r", allow_pickle=False)
-    except FileNotFoundError:
+    except _NO_FILE:
         return None
     except (OSError, ValueError, EOFError) as e:
         log.warning("rejected the stored corpus matrix %s (%s); rebuilding it", path, e)
@@ -534,7 +559,7 @@ def _map_exact(path: Path, descr: str, shape: tuple[int, int]) -> np.ndarray | s
             if f.read(len(header)) != header:
                 return f"a header other than that of {descr} of shape {shape}"
             data = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
-    except FileNotFoundError:
+    except _NO_FILE:
         return None
     except (OSError, ValueError) as e:
         return str(e)
@@ -552,15 +577,16 @@ def _reject_copy(path: Path, problem: str) -> str:
     return f"float32 copy rejected ({problem})"
 
 
-def _write_copy(path: Path, block: np.ndarray) -> None:
+def _write_copy(path: Path, block: np.ndarray) -> bool:
     """Write ``block`` in float32 to its copy's path beside ``path``, converted
-    one step at a time so that no full-size temporary exists."""
+    one step at a time so that no full-size temporary exists, and say
+    whether it was stored."""
     def write(f):
         f.write(_npy_header("<f4", block.shape))
         for start in range(0, len(block), STEP_ROWS):
             f.write(block[start:start + STEP_ROWS].astype("<f4"))
 
-    _write_atomic(_copy_path(path), write, "float32 copy of the corpus matrix")
+    return _write_atomic(_copy_path(path), write, "float32 copy of the corpus matrix")
 
 
 def _shortlist(coarse: np.ndarray, groups: list[tuple[np.ndarray | None, int]],
@@ -653,9 +679,10 @@ def _reject(path: Path, problem: str, rows: int) -> None:
                 "rebuilding it", path, problem, rows)
 
 
-def _write_atomic(path: Path, write, what: str) -> None:
+def _write_atomic(path: Path, write, what: str) -> bool:
     """Write ``path`` through ``write(file)`` into a temp file, then rename it
-    into place; a failure is logged as ``what``, not raised.
+    into place, and say whether it was stored; a failure is logged as
+    ``what``, not raised.
 
     A stored file is only ever replaced by a rename, never rewritten in
     place: a process may hold the old one memory-mapped or half read.
@@ -668,6 +695,7 @@ def _write_atomic(path: Path, write, what: str) -> None:
             write(f)
         os.replace(tmp, path)
         log.debug("stored the %s at %s", what, path)
+        return True
     except OSError as e:
         log.warning("could not store the %s at %s: %s", what, path, e)
         if tmp is not None:
@@ -675,6 +703,7 @@ def _write_atomic(path: Path, write, what: str) -> None:
                 os.unlink(tmp)
             except OSError:
                 pass
+        return False
 
 
 def _sha256(data: bytes) -> str:
@@ -762,7 +791,7 @@ def _read_snapshot(path: Path) -> tuple[str, tuple, dict[str, int]] | None:
     """
     try:
         raw = path.read_bytes()
-    except FileNotFoundError:
+    except _NO_FILE:
         return None
     except OSError as e:
         log.warning("rejected the corpus snapshot %s (%s); rewriting it", path, e)

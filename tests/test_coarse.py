@@ -7,6 +7,7 @@ float64 row, which ``score_all`` without ``select`` gives, bit for bit.
 
 import json
 import logging
+import os
 import sys
 import threading
 
@@ -446,3 +447,186 @@ def test_ask_verbose_shows_which_path_each_load_took(tmp_path, caplog):
     assert all(line.endswith("full pass: no stored matrix") for line in lines[:2])
     assert all(f"{ROWS} x 8 corpus matrix" in line and "coarse path: shortlist of " in line
                and " steps recomputed (map " in line for line in lines[2:])
+
+
+def confident_config(models, concurrency=1, quotas=None, planted=None, dim=DIM,
+                     provider=Planted):
+    from multirag.config import default_template_text
+    from multirag.generation import MockBackend
+    from multirag.pipeline import PipelineConfig
+    from multirag.retrieval import PromptTemplate
+    providers = [provider(planted or {}, model_id=m, dim=dim) for m in models]
+    return PipelineConfig(
+        providers=providers, backend=MockBackend(seed=3),
+        template=PromptTemplate(text=default_template_text()),
+        k=4, quotas=quotas, concurrency=concurrency)
+
+
+def confident(corpus, cfg, models):
+    from multirag.pipeline import run_confident
+    result = run_confident("q", QUESTION, models, corpus, cfg)
+    return (result.answer, result.winner_index, result.retrieved,
+            [(r.embedding_model, r.prompt, r.completion) for r in result.records])
+
+
+def test_a_built_matrix_is_dropped_and_then_served_from_its_files(tmp_path, caplog,
+                                                                   monkeypatch):
+    planted = tie_heavy(8)
+    whole = score_all(Planted(planted), QUESTION, make_corpus(None))
+    corpus, provider = make_corpus(tmp_path), Planted(planted)
+    select = {"qa": 3, "textbook": 1}
+    caplog.set_level(logging.DEBUG, logger="multirag.corpus")
+    first = score_all(provider, QUESTION, corpus, select=select)
+    assert provider.built == 1 and "full pass: no stored matrix" in caplog.text
+    assert first.values.tobytes() == whole.values.tobytes()
+    assert "serving 'det-a' from the stored files " in caplog.text
+    slot = corpus.index()._matrices[provider]
+    assert slot.block is None and slot.coarse is None
+    path = corpus.index().stored_path(provider)
+    copy_path = path.with_suffix(".f32.npy")
+    block = np.load(path)
+
+    def replace_both(rows):  # by a rename, as README asks; unit-norm rows pass the checks
+        for name, data in ((path, rows), (copy_path, rows.astype(np.float32))):
+            np.save(tmp_path / "replacement.npy", data)
+            os.replace(tmp_path / "replacement.npy", name)
+
+    # files that fail their checks before the next use are caught and rebuilt
+    replace_both(2 * block)
+    caplog.clear()
+    assert selected(score_all(provider, QUESTION, corpus, select=select),
+                    select) == want(select, whole)
+    assert provider.built == 2 and "float32 copy rejected" in caplog.text
+    assert slot.block is None and slot.coarse is None
+    maps, passes = [], []
+    map_exact, two_thread_pass = corpus_module._map_exact, corpus_module._two_thread_pass
+
+    def counting_map(*args):
+        maps.append(args)
+        return map_exact(*args)
+
+    def counting_pass(block, vector, scores, squares, bounds):
+        passes.append((block.dtype.str, squares is None))
+        return two_thread_pass(block, vector, scores, squares, bounds)
+
+    monkeypatch.setattr(corpus_module, "_map_exact", counting_map)
+    monkeypatch.setattr(corpus_module, "_two_thread_pass", counting_pass)
+    held = score_all(provider, QUESTION, corpus, select=select)
+    # the warm coarse path: both files mapped, the copy's norms checked in its scan
+    assert len(maps) == 2 and passes == [("<f4", False)]
+    again = score_all(provider, QUESTION, corpus, select=select)
+    assert len(maps) == 2 and passes[1:] == [("<f4", True)]
+    warm = score_all(Planted(planted), QUESTION, make_corpus(tmp_path), select=select)
+    assert selected(held, select) == selected(again, select) == selected(warm, select) == (
+        want(select, whole))
+    # files renamed over the mapped ones leave the held engine's selections unchanged
+    replace_both(block[::-1])
+    for select in SELECTIONS:
+        assert selected(score_all(provider, QUESTION, corpus, select=select),
+                        select) == want(select, whole), select
+    row = score_all(provider, QUESTION, corpus, select=3)
+    assert row.values.tobytes() == whole.values.tobytes()
+    assert provider.built == 2
+    assert top_k(score_all(Planted(planted), QUESTION, make_corpus(tmp_path), select=3),
+                 3) != top_k(whole, 3)  # the files on disk did change
+
+
+def test_each_build_says_whether_the_store_serves_it_from_then_on(tmp_path, caplog):
+    planted = tie_heavy(9)
+    caplog.set_level(logging.DEBUG, logger="multirag.corpus")
+
+    def keep_lines(store, select, rows=ROWS):
+        caplog.clear()
+        score_all(Planted(planted), QUESTION, make_corpus(store, rows=rows), select=select)
+        return [r.getMessage() for r in caplog.records
+                if r.getMessage().startswith(("keeping the built", "serving "))]
+
+    assert keep_lines(None, 3) == ["keeping the built matrix of 'det-a' in memory: no store"]
+    assert keep_lines(tmp_path / "whole", None) == [
+        "keeping the built matrix of 'det-a' in memory: whole row needed"]
+    assert keep_lines(tmp_path / "small", 3, rows=COARSE_MIN_STEPS * STEP_ROWS - 1) == [
+        "keeping the built matrix of 'det-a' in memory: "
+        f"a matrix of fewer than {COARSE_MIN_STEPS} steps"]
+    blocked = tmp_path / "blocked"
+    blocked.write_text("a file where the store should be")
+    assert keep_lines(blocked / "index", 3) == [
+        "keeping the built matrix of 'det-a' in memory: write failed"]
+    (line,) = keep_lines(tmp_path / "coarse", 3)
+    (path,) = [p for p in (tmp_path / "coarse").glob("*.npy") if ".f32" not in p.name]
+    assert line == (f"serving 'det-a' from the stored files {path.name} and "
+                    f"{path.stem}.f32.npy; releasing the {ROWS * DIM * 8 / 1e6:.1f} MB "
+                    "matrix it built")
+    assert "corpus matrix of" not in line  # the load lines' count stays theirs
+    assert keep_lines(tmp_path / "coarse", 3) == []  # a load, not a build
+
+
+def test_an_unwritable_store_warns_once_per_coarse_matrix(tmp_path, caplog):
+    models = ["det-a", "det-b"]
+    planted = tie_heavy(10)
+    quotas = {"qa": 3, "textbook": 1}
+    want_result = confident(make_corpus(None), confident_config(models, quotas=quotas,
+                                                                planted=planted), models)
+    blocked = tmp_path / "blocked"
+    blocked.write_text("a file where the store's parent directory should be")
+    caplog.set_level(logging.WARNING, logger="multirag.corpus")
+    got = confident(make_corpus(blocked / "index"),
+                    confident_config(models, quotas=quotas, planted=planted), models)
+    assert got == want_result
+    # the float32 copy is neither converted nor written once its matrix failed to store
+    assert [r.getMessage().split(" at ")[0] for r in caplog.records] == [
+        "could not store the corpus matrix"] * len(models)
+    assert blocked.read_text().startswith("a file")
+
+
+class SmallBatches(DeterministicProvider):
+    """``DeterministicProvider`` under ``confident_config``'s provider
+    signature, in batches small enough that a batch's temporaries are a
+    small part of a corpus matrix (a vector does not depend on its batch)."""
+
+    batch_size = 128
+
+    def __init__(self, planted, model_id, dim):
+        super().__init__(model_id, dim=dim)
+
+
+def test_a_cold_confident_run_with_a_store_holds_one_built_matrix_at_a_time(tmp_path):
+    import tracemalloc
+    models = ["det-a", "det-b", "det-c", "det-d"]
+    dim = 64
+    matrix_bytes = ROWS * dim * 8
+
+    def peak(store):
+        corpus = make_corpus(store)
+        corpus.index()
+        cfg = confident_config(models, quotas={"qa": 3, "textbook": 1}, dim=dim,
+                               provider=SmallBatches)
+        tracemalloc.start()
+        try:
+            result = confident(corpus, cfg, models)
+            return tracemalloc.get_traced_memory()[1], result
+        finally:
+            tracemalloc.stop()
+
+    stored, result = peak(tmp_path)
+    control, want_result = peak(None)
+    assert result == want_result
+    assert control > len(models) * matrix_bytes  # without a store all four stay held
+    assert stored < 2 * matrix_bytes
+
+
+def test_a_cold_concurrent_confident_run_equals_the_serial_one(tmp_path, caplog):
+    models = ["det-a", "det-b", "det-c", "det-d"]
+    planted = tie_heavy(11)
+    caplog.set_level(logging.DEBUG, logger="multirag.corpus")
+    for quotas in (None, {"qa": 3, "textbook": 1}):
+        runs = {}
+        for concurrency in (1, 4):
+            store = tmp_path / f"{concurrency}-{quotas is None}"
+            corpus = make_corpus(store)
+            cfg = confident_config(models, concurrency, quotas, planted)
+            caplog.clear()
+            runs[concurrency] = [confident(corpus, cfg, models)]
+            assert caplog.text.count("serving 'det-") == len(models)
+            runs[concurrency].append(confident(corpus, cfg, models))  # the held engine
+            assert all(p.built == 1 for p in cfg.providers)
+        assert runs[4] == runs[1] and runs[1][0] == runs[1][1]
