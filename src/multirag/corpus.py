@@ -13,15 +13,16 @@ import io
 import json
 import logging
 import mmap
+import operator
 import os
 import tempfile
 import threading
 import time
 import weakref
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, groupby, repeat
-from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -37,12 +38,17 @@ KINDS = ("qa", "textbook")
 # digit means, so it needs a SNAPSHOT_VERSION bump.
 _KIND_DIGIT = {kind: ord(str(code)) for code, kind in enumerate(KINDS)}
 _DIGIT_KIND = {digit: kind for kind, digit in _KIND_DIGIT.items()}
-# str.translate table that deletes every kind digit: a kinds column is valid
-# when nothing is left
-_DROP_KIND_CHARS = dict.fromkeys(_DIGIT_KIND)
+# the kind digits as bytes: bytes.translate deletes them, and a kinds column
+# is valid when nothing is left
+_KIND_DIGITS = bytes(_DIGIT_KIND)
 # part of every snapshot key: bump it when a parse rule or the format changes a file's bytes
-SNAPSHOT_VERSION = 2
-_COLUMNS = ("ids", "texts", "kinds", "sources")
+SNAPSHOT_VERSION = 3
+# a snapshot file starts with these bytes and then the sha256 of its payload
+_SNAPSHOT_MAGIC = b"MRAGCOR3"
+_SNAPSHOT_HEAD = len(_SNAPSHOT_MAGIC) + 32
+# the payload starts with five <u8 counts: rows, id bytes, text bytes, source
+# runs and source bytes (see snapshot_payload)
+_COUNTS = 5
 UNIT_NORM_TOL = 1e-9  # a stored row's norm may differ from 1 by this much
 # rows normalised per step: np.linalg.norm allocates two temporaries the size
 # of its input, so a step over the whole matrix briefly triples its memory
@@ -57,10 +63,6 @@ STEP_ROWS = 512
 COARSE_MIN_STEPS = 8
 # unit roundoff of float32 and of float64
 _U32, _U64 = 2.0 ** -24, 2.0 ** -53
-# a snapshot of at least this many bytes is hashed on a helper thread while it
-# is checked; below it, starting the thread costs more than the hash (on a
-# 2-vCPU VM the two broke even at about 0.65 MB)
-HASH_THREAD_BYTES = 768 * 1024
 # np.load parses a .npy header with ast.literal_eval, and CPython 3.11's AST
 # constructor keeps its recursion depth in state all threads share: two threads
 # loading at once can fail with "AST constructor recursion depth mismatch"
@@ -101,12 +103,13 @@ class ChunkIndex:
     ``KINDS``, as this constructor always took. The index keeps them as
     ``kind_codes``, a uint8 array of indices into ``KINDS``, and builds
     ``kinds``, the labels as an array, on first read.
-    ``position``, the id -> ordinal dict of ``ids``, is built when not given;
-    the index keeps the lists and the dict it is given, not copies.
+    ``position``, the id -> ordinal dict of ``ids``, is built on first use
+    when not given; the index keeps the sequences and the dict it is given,
+    not copies, so a snapshot's lazy columns stay lazy (see ``_Strings``).
 
     With a ``store`` directory, a matrix is first looked for there as
     ``<key>.npy``, the key being a hash of the provider's fingerprint and
-    ``digest``, the corpus digest (see ``snapshot_bytes``); an index given
+    ``digest``, the corpus digest (see ``snapshot_payload``); an index given
     no digest digests its own ids, kinds and texts by the same rule. A
     missing or invalid file is built as without a store and then written.
     A stored matrix is memory-mapped read-only, so processes that load one
@@ -126,11 +129,11 @@ class ChunkIndex:
     copy is written the first time that path finds none, or a bad one.
     """
 
-    def __init__(self, ids: list[str], kinds: list[str] | bytes | None = None,
-                 texts: list[str] | None = None, store: str | Path | None = None,
+    def __init__(self, ids: Sequence[str], kinds: list[str] | bytes | None = None,
+                 texts: Sequence[str] | None = None, store: str | Path | None = None,
                  digest: str | None = None, position: dict[str, int] | None = None):
         self.ids = ids
-        self.position = {cid: i for i, cid in enumerate(ids)} if position is None else position
+        self._position = position
         if kinds is not None and not isinstance(kinds, (bytes, bytearray)):
             try:
                 kinds = bytes(map(_KIND_DIGIT.__getitem__, kinds))
@@ -144,8 +147,8 @@ class ChunkIndex:
         self._texts = texts
         self._store = None if store is None else Path(store)
         if store is not None and digest is None:
-            digest = _sha256(snapshot_bytes(ids, texts, None if kinds is None else kinds.decode(),
-                                            []))
+            # no kinds hash as an empty column, which no snapshot of these rows holds
+            digest = _sha256(snapshot_payload(ids, texts or [], kinds or b"", []))
         self._digest = digest
         self._lock = threading.Lock()
         # provider -> _Slot; its lock makes concurrent first uses build once
@@ -153,6 +156,13 @@ class ChunkIndex:
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    @property
+    def position(self) -> dict[str, int]:
+        """Chunk id -> ingestion ordinal, built on first use when not given."""
+        if self._position is None:
+            self._position = dict(zip(self.ids, range(len(self.ids))))
+        return self._position
 
     @cached_property
     def kinds(self) -> np.ndarray | None:
@@ -222,11 +232,14 @@ class ChunkIndex:
                 rows // STEP_ROWS >= COARSE_MIN_STEPS)
             if slot.coarse is not None:
                 mapped = slot.coarse[1]
+            elif path is None:
+                mapped = None
             else:
-                # the coarse path knows the shape to expect, so it can skip np.load's header parse
-                mapped = _map_exact(path, "<f8", (rows, len(vector))) if coarse else None
-                if not isinstance(mapped, np.ndarray):
-                    mapped = None if path is None else _map_matrix(path, rows)
+                # a query gives the shape to expect, so the header is compared, not
+                # parsed; np.load reads it only without a query or where it differs
+                mapped = None if vector is None else _map_exact(path, "<f8", (rows, len(vector)))
+                if vector is None or isinstance(mapped, str):
+                    mapped = _map_matrix(path, rows)
             if coarse:
                 found = "no stored matrix" if mapped is None else self._coarse(
                     slot, path, mapped, provider, vector, groups, t0)
@@ -710,107 +723,175 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def snapshot_bytes(ids, texts, kinds, sources) -> bytes:
-    """The JSON of the four corpus columns: a snapshot file's bytes.
+class _Strings(Sequence):
+    """A column of strings held as the UTF-8 (``surrogatepass``) ``blob`` of
+    them all and ``ends``, each item's end offset in it.
 
-    ``kinds`` is one string of kind digits (see ``KINDS``) and ``sources``
-    the ``[source, count]`` runs of equal adjacent sources
-    (``_source_runs``). Their sha256 is the corpus digest that keys the
-    matrix store, whether a snapshot was read, written or never made.
+    Reading item ``i`` decodes that item alone. Iterating, slicing or
+    comparing decodes the whole column once, in C-level passes, and keeps
+    the list. A snapshot's checks (``_snapshot_columns``) make every item's
+    bytes lie inside ``blob``.
     """
-    return json.dumps(dict(zip(_COLUMNS, (ids, texts, kinds, sources)))).encode("utf-8")
+
+    __slots__ = ("_ends", "_blob", "_list")
+
+    def __init__(self, ends: np.ndarray, blob: memoryview):
+        self._ends = ends
+        self._blob = blob
+        self._list: list[str] | None = None
+
+    def __len__(self) -> int:
+        return len(self._ends)
+
+    def __getitem__(self, i):
+        if self._list is not None or isinstance(i, slice):
+            return self._decoded()[i]
+        n = len(self._ends)
+        i = operator.index(i)
+        if not -n <= i < n:
+            raise IndexError("column index out of range")
+        i %= n
+        start = int(self._ends[i - 1]) if i else 0
+        return str(self._blob[start:int(self._ends[i])], "utf-8", "surrogatepass")
+
+    def __iter__(self):
+        return iter(self._decoded())
+
+    def __eq__(self, other):
+        return self._decoded() == (other._decoded() if isinstance(other, _Strings) else other)
+
+    __hash__ = None
+
+    def _decoded(self) -> list[str]:
+        if self._list is None:
+            ends = self._ends.tolist()
+            pieces = map(self._blob.__getitem__, map(slice, [0] + ends[:-1], ends))
+            self._list = list(map(str, pieces, repeat("utf-8"), repeat("surrogatepass")))
+        return self._list
 
 
-def _source_runs(sources: list[str]) -> list[list]:
-    return [[source, len(list(run))] for source, run in groupby(sources)]
+def _encoded(strings: Sequence[str]) -> tuple[np.ndarray, bytes]:
+    """The end offsets (``<u8``) and the UTF-8 (``surrogatepass``) blob of
+    ``strings``, as ``_Strings`` reads them."""
+    blob = "".join(strings).encode("utf-8", "surrogatepass")
+    # a blob as long as the text is ASCII, so each item's bytes are its characters
+    lengths = map(len, strings)
+    if len(blob) != sum(map(len, strings)):
+        lengths = map(len, map(str.encode, strings, repeat("utf-8"), repeat("surrogatepass")))
+    return np.cumsum(np.fromiter(lengths, np.uint64, len(strings)), dtype="<u8"), blob
 
 
-def _snapshot_columns(raw: bytes) -> tuple[tuple, dict[str, int]]:
-    """The columns a snapshot's bytes hold, decoded as ``Corpus`` holds
-    them, and the id -> position dict of their ids, all held to every rule
-    ingestion keeps; a ValueError names the first rule broken.
+def snapshot_payload(ids: Sequence[str], texts: Sequence[str], kinds: bytes,
+                     runs: list[tuple[str, int]]) -> bytes:
+    """The payload of a format-3 snapshot file: the corpus columns in binary.
 
-    orjson decodes the bytes. On any rejection, by orjson or by a check,
-    the stdlib decodes them again and the checks run again, so the outcome
-    and the reason are the stdlib's: orjson rejects a lone surrogate escape
-    that the stdlib reads, and reads an integer beyond 64 bits as a float.
+    In order: five ``<u8`` counts (rows, id bytes, text bytes, source runs,
+    source bytes); the ``<u8`` end offsets of the ids, of the texts, then
+    each run's count and the end offsets of the runs' sources; the kind
+    digits, one byte per row (see ``KINDS``); then the UTF-8
+    (``surrogatepass``) bytes of the ids, the texts and the sources.
+    ``runs`` are the ``(source, count)`` runs of equal adjacent sources
+    (``_source_runs``). The offsets come before the byte columns, so each
+    ``<u8`` array starts 8-byte aligned in the file.
+
+    Its sha256 is the corpus digest that keys the matrix store, whether a
+    snapshot was read, written or never made.
     """
-    import orjson
+    id_ends, id_blob = _encoded(ids)
+    text_ends, text_blob = _encoded(texts)
+    source_ends, source_blob = _encoded([source for source, _ in runs])
+    counts = np.array([len(ids), len(id_blob), len(text_blob), len(runs), len(source_blob)],
+                      dtype="<u8")
+    run_counts = np.array([count for _, count in runs], dtype="<u8")
+    return b"".join([counts.tobytes(), id_ends.tobytes(), text_ends.tobytes(),
+                     run_counts.tobytes(), source_ends.tobytes(), bytes(kinds),
+                     id_blob, text_blob, source_blob])
 
-    try:
-        return _checked_columns(orjson.loads(raw))
-    except ValueError:  # orjson.JSONDecodeError is one too
-        return _checked_columns(json.loads(raw))
+
+def _source_runs(sources: list[str]) -> list[tuple[str, int]]:
+    return [(source, len(list(run))) for source, run in groupby(sources)]
 
 
-def _checked_columns(obj) -> tuple[tuple, dict[str, int]]:
-    """``_snapshot_columns`` of the decoded snapshot ``obj``.
+def _ends_fit(ends: np.ndarray, size: int, strict: bool) -> bool:
+    """Whether ``ends`` rise from 0 to ``size`` (strictly: no empty item)."""
+    if not len(ends):
+        return size == 0
+    steps = ends[1:] > ends[:-1] if strict else ends[1:] >= ends[:-1]
+    return int(ends[-1]) == size and (int(ends[0]) > 0 or not strict) and bool(steps.all())
 
-    Each check is one C-level pass (``join``, ``dict``, ``map``, ``set``),
-    not a generator.
+
+def _snapshot_columns(raw: bytes) -> tuple[str, tuple]:
+    """The corpus digest a format-3 snapshot's bytes hold and its columns,
+    as ``Corpus`` holds them; a ValueError names the first check failed.
+
+    The sha256 of the payload must equal the header's before any column is
+    used. Then only the checks that lazy access needs remain, each a numpy
+    or C-level pass: the sizes add up to the file's, each offset column
+    rises to the end of its bytes (ids and texts strictly, so none is
+    empty), every kind digit is known, and every run count lies between 1
+    and the row count, the counts summing to it. The other ingestion rules
+    (unique ids, non-blank texts, valid UTF-8) were checked when the file
+    was written, and rest on the digest.
     """
-    if type(obj) is not dict or obj.keys() != set(_COLUMNS):
-        raise ValueError(f"not an object of the columns {_COLUMNS}")
-    ids, texts, kinds, runs = (obj[name] for name in _COLUMNS)
-    if tuple(map(type, (ids, texts, kinds, runs))) != (list, list, str, list):
-        raise ValueError("a column of the wrong type")
-    if not len(ids) == len(texts) == len(kinds):
-        raise ValueError("columns of unequal length")
-    try:  # join raises TypeError at an item that is not a string
-        "".join(ids), "".join(texts)
-    except TypeError:
-        raise ValueError("an id or text that is not a string") from None
-    position = dict(zip(ids, range(len(ids))))
-    if "" in position or len(position) != len(ids):
-        raise ValueError("an empty or duplicate id")
-    if not all(map(str.strip, texts)):
-        raise ValueError("an empty text")
-    if kinds.translate(_DROP_KIND_CHARS):
-        raise ValueError("an unknown kind code")
-    if not {list}.issuperset(map(type, runs)) or not {2}.issuperset(map(len, runs)):
-        raise ValueError("sources that are not [source, count] pairs")
-    names, counts = list(map(itemgetter(0), runs)), list(map(itemgetter(1), runs))
-    if not {str}.issuperset(map(type, names)):
-        raise ValueError("a source that is not a string")
-    # type(True) is bool, so a bool count fails this too
-    if not {int}.issuperset(map(type, counts)) or min(counts, default=1) < 1:
-        raise ValueError("a source count that is not an integer of at least 1")
-    if sum(counts) != len(ids):
+    if len(raw) < _SNAPSHOT_HEAD + 8 * _COUNTS or not raw.startswith(_SNAPSHOT_MAGIC):
+        raise ValueError("not a format 3 snapshot")
+    digest = hashlib.sha256(memoryview(raw)[_SNAPSHOT_HEAD:])
+    if digest.digest() != raw[len(_SNAPSHOT_MAGIC):_SNAPSHOT_HEAD]:
+        raise ValueError("sha256 mismatch")
+    at = _SNAPSHOT_HEAD
+    rows, id_bytes, text_bytes, runs, source_bytes = np.frombuffer(
+        raw, "<u8", _COUNTS, at).tolist()
+    at += 8 * _COUNTS
+    if at + 17 * rows + 16 * runs + id_bytes + text_bytes + source_bytes != len(raw):
+        raise ValueError("section sizes that disagree with the file's size")
+    arrays = []
+    for count in (rows, rows, runs, runs):
+        arrays.append(np.frombuffer(raw, "<u8", count, at))
+        at += 8 * count
+    id_ends, text_ends, run_counts, source_ends = arrays
+    # views, not copies: the offset arrays keep ``raw`` alive anyway
+    blobs = []
+    for size in (rows, id_bytes, text_bytes, source_bytes):
+        blobs.append(memoryview(raw)[at:at + size])
+        at += size
+    kinds, id_blob, text_blob, source_blob = blobs
+    if not _ends_fit(id_ends, id_bytes, strict=True):
+        raise ValueError("id offsets out of order or past the id bytes")
+    if not _ends_fit(text_ends, text_bytes, strict=True):
+        raise ValueError("text offsets out of order or past the text bytes")
+    if not _ends_fit(source_ends, source_bytes, strict=False):
+        raise ValueError("source offsets out of order or past the source bytes")
+    kinds = bytearray(kinds)
+    if kinds.translate(None, _KIND_DIGITS):
+        raise ValueError("an unknown kind digit")
+    if ((run_counts < 1) | (run_counts > rows)).any():
+        raise ValueError("a source count below 1 or above the row count")
+    # at most rows counts of at most rows each: their sum fits 64 bits
+    if runs > rows or int(run_counts.sum()) != rows:
         raise ValueError("source counts that do not sum to the row count")
-    sources = list(chain.from_iterable(map(repeat, names, counts)))
-    return (ids, texts, kinds.encode("ascii"), sources), position
+    sources = list(chain.from_iterable(map(repeat, _Strings(source_ends, source_blob),
+                                           run_counts.tolist())))
+    return digest.hexdigest(), (_Strings(id_ends, id_blob), _Strings(text_ends, text_blob),
+                                kinds, sources)
 
 
-def _read_snapshot(path: Path) -> tuple[str, tuple, dict[str, int]] | None:
-    """The sha256 of the snapshot at ``path`` and what ``_snapshot_columns``
-    makes of its bytes if they pass every check, else None.
-
-    A snapshot of ``HASH_THREAD_BYTES`` or more is hashed on a helper
-    thread while this one decodes and checks it (hashlib releases the
-    GIL); the thread has ended when this returns.
-    """
+def _read_snapshot(path: Path) -> tuple[str, tuple] | None:
+    """``_snapshot_columns`` of the snapshot at ``path`` if it passes every
+    check, else None; a rejection is logged with its reason and a hit with
+    the bytes read and the time taken."""
+    t0 = time.perf_counter()
     try:
         raw = path.read_bytes()
+        found = _snapshot_columns(raw)
     except _NO_FILE:
         return None
-    except OSError as e:
+    except (OSError, ValueError) as e:
         log.warning("rejected the corpus snapshot %s (%s); rewriting it", path, e)
         return None
-    digest: list[str] = []
-    thread = None
-    if len(raw) >= HASH_THREAD_BYTES:
-        thread = threading.Thread(target=lambda: digest.append(_sha256(raw)),
-                                  name="multirag-snapshot-hash")
-        thread.start()
-    try:
-        columns, position = _snapshot_columns(raw)
-    except (ValueError, RecursionError) as e:
-        log.warning("rejected the corpus snapshot %s (%s); rewriting it", path, e)
-        return None
-    finally:
-        if thread is not None:
-            thread.join()
-    return (_sha256(raw) if thread is None else digest[0]), columns, position
+    log.debug("loaded %d chunks from the corpus snapshot %s (format %d, sha256 matched, "
+              "%d bytes read in %.2f ms)", len(found[1][0]), path, SNAPSHOT_VERSION, len(raw),
+              (time.perf_counter() - t0) * 1e3)
+    return found
 
 
 def read_bytes(path: Path) -> bytes:
@@ -871,9 +952,12 @@ def _check_kind(kind: str) -> None:
 class Corpus:
     """Ordered, immutable-after-ingestion chunk store, held as columns.
 
-    Chunk ids, texts and sources are parallel lists in ingestion order, and
-    kinds one ``bytearray`` of kind digits (see ``KINDS``); a ``Chunk`` is
-    built only when one is read (``get``, iteration, ``chunks``). ``store``
+    Chunk ids, texts and sources are parallel sequences in ingestion order,
+    and kinds one ``bytearray`` of kind digits (see ``KINDS``); a ``Chunk``
+    is built only when one is read (``get``, ``chunk_at``, iteration,
+    ``chunks``). A corpus read from a snapshot holds its ids and texts as
+    lazy ``_Strings`` and builds the id -> position dict on first use, so a
+    question that reads chunks by position decodes only those. ``store``
     is a directory for the index's corpus matrices (see ``ChunkIndex``) and
     for ``from_files``' snapshots; without it the matrices live in memory
     only.
@@ -881,14 +965,14 @@ class Corpus:
 
     def __init__(self, store: str | Path | None = None):
         self.store = store
-        self._ids: list[str] = []
-        self._texts: list[str] = []
+        self._ids: Sequence[str] = []
+        self._texts: Sequence[str] = []
         self._kinds = bytearray()
         self._sources: list[str] = []
-        self._position: dict[str, int] = {}
+        self._positions: dict[str, int] | None = {}
         self._index: ChunkIndex | None = None
         self._index_lock = threading.Lock()
-        # sha256 of _snapshot_bytes(), known after from_files, else computed on first use
+        # sha256 of _snapshot_payload(), known after from_files, else computed on first use
         self._digest: str | None = None
 
     def __len__(self) -> int:
@@ -908,6 +992,13 @@ class Corpus:
         digit = _KIND_DIGIT.get(kind)
         return [cid for cid, d in zip(self._ids, self._kinds) if d == digit]
 
+    @property
+    def _position(self) -> dict[str, int]:
+        """Chunk id -> ingestion ordinal, built on first use."""
+        if self._positions is None:
+            self._positions = dict(zip(self._ids, range(len(self._ids))))
+        return self._positions
+
     def position(self, chunk_id: str) -> int:
         """Ingestion ordinal of a chunk (the tie-break order)."""
         try:
@@ -916,60 +1007,55 @@ class Corpus:
             raise UnknownChunkError(chunk_id) from None
 
     def get(self, chunk_id: str) -> Chunk:
-        i = self.position(chunk_id)
-        return Chunk(self._ids[i], self._texts[i], _DIGIT_KIND[self._kinds[i]], self._sources[i])
+        return self.chunk_at(self.position(chunk_id))
+
+    def chunk_at(self, position: int) -> Chunk:
+        """The chunk ingested ``position``-th."""
+        return Chunk(self._ids[position], self._texts[position],
+                     _DIGIT_KIND[self._kinds[position]], self._sources[position])
 
     def index(self) -> ChunkIndex:
         """The retrieval index of every chunk added so far, built on first use."""
         with self._index_lock:
             if self._index is None:
                 if self.store is not None and self._digest is None:
-                    self._digest = _sha256(self._snapshot_bytes())
+                    self._digest = _sha256(self._snapshot_payload())
                 # shared, not copied: _append copies a column an index shares before growing it
                 self._index = ChunkIndex(self._ids, self._kinds, self._texts,
                                          store=self.store, digest=self._digest,
-                                         position=self._position)
+                                         position=self._positions)
             return self._index
 
-    def _snapshot_bytes(self) -> bytes:
-        return snapshot_bytes(self._ids, self._texts, self._kinds.decode("ascii"),
-                              _source_runs(self._sources))
+    def _snapshot_payload(self) -> bytes:
+        return snapshot_payload(self._ids, self._texts, self._kinds,
+                                _source_runs(self._sources))
 
     def add(self, chunk: Chunk) -> None:
         self._append([chunk.id], [chunk.text], bytes([_KIND_DIGIT[chunk.kind]]), [chunk.source])
 
-    def _append(self, ids: list[str], texts: list[str], kinds: bytes, sources: list[str],
-                fresh: dict[str, int] | None = None) -> None:
-        """Append validated columns in one step; a duplicate id adds nothing.
-
-        ``fresh`` maps ``ids`` to their positions once appended; it is built
-        when not given. An empty corpus adopts a given one instead of
-        copying it.
-        """
+    def _append(self, ids: list[str], texts: list[str], kinds: bytes,
+                sources: list[str]) -> None:
+        """Append validated columns in one step; a duplicate id adds nothing."""
         start = len(self._ids)
-        adopt = fresh is not None and not self._position
-        if fresh is None:
-            fresh = dict(zip(ids, range(start, start + len(ids))))
-        if len(fresh) != len(ids) or (self._position
-                                      and not self._position.keys().isdisjoint(fresh)):
+        position = self._position
+        fresh = dict(zip(ids, range(start, start + len(ids))))
+        if len(fresh) != len(ids) or (position and not position.keys().isdisjoint(fresh)):
             seen: set[str] = set()
             for cid in ids:  # name the first duplicate in ingestion order
-                if cid in self._position or cid in seen:
+                if cid in position or cid in seen:
                     raise DuplicateChunkError(cid)
                 seen.add(cid)
         with self._index_lock:
-            if self._index is not None:
-                # the index shares these columns: it keeps them, and they grow as copies
-                self._ids, self._texts = self._ids[:], self._texts[:]
-                self._position = self._position.copy()
+            if self._index is not None or not isinstance(self._ids, list):
+                # an index shares these columns, or they are a snapshot's lazy
+                # ones: the index keeps them, and they grow as lists
+                self._ids, self._texts = list(self._ids), list(self._texts)
+                self._positions = position = position.copy()
             self._ids += ids
             self._texts += texts
             self._kinds += kinds
             self._sources += sources
-            if adopt:
-                self._position = fresh
-            else:
-                self._position.update(fresh)
+            position.update(fresh)
             self._index = None
             self._digest = None
 
@@ -1012,10 +1098,11 @@ class Corpus:
         """The corpus ``ingest`` builds from ``entries``, (path, kind) pairs
         in order, kept as a snapshot under ``store``.
 
-        The snapshot ``<store>/<key>.corpus.json`` holds the validated
-        columns (``snapshot_bytes``). Its key hashes ``SNAPSHOT_VERSION``
-        and each entry's path as given, kind and file sha256, in order: a
-        line without ``source`` takes the path as its source, and an
+        The snapshot ``<store>/<key>.corpus.bin`` holds the validated
+        columns: a header with the sha256 of its payload, then the payload
+        (``snapshot_payload``). Its key hashes ``SNAPSHOT_VERSION`` and each
+        entry's path as given, kind and file sha256, in order: a line
+        without ``source`` takes the path as its source, and an
         auto-assigned id counts the chunks ingested before it. A snapshot
         is used only if it passes ``_snapshot_columns``' checks; anything
         else is a miss, which parses the very bytes that were hashed and
@@ -1035,19 +1122,19 @@ class Corpus:
                 raise
         key = json.dumps([SNAPSHOT_VERSION, [[os.fspath(path), kind, _sha256(data)]
                                              for (path, kind), data in zip(entries, blobs)]])
-        snapshot = Path(store) / f"{_sha256(key.encode('utf-8'))}.corpus.json"
+        snapshot = Path(store) / f"{_sha256(key.encode('utf-8'))}.corpus.bin"
         found = _read_snapshot(snapshot)
         if found is None:
             for (path, kind), data in zip(entries, blobs):
                 corpus._ingest(Path(path), data, kind)
-            raw = corpus._snapshot_bytes()
-            _write_atomic(snapshot, lambda f: f.write(raw), "corpus snapshot")
-            corpus._digest = _sha256(raw)
+            payload = corpus._snapshot_payload()
+            digest = hashlib.sha256(payload)
+            _write_atomic(snapshot, lambda f: f.writelines(
+                (_SNAPSHOT_MAGIC, digest.digest(), payload)), "corpus snapshot")
+            corpus._digest = digest.hexdigest()
         else:
-            digest, columns, position = found
-            corpus._append(*columns, fresh=position)
-            corpus._digest = digest
-            log.debug("loaded %d chunks from the corpus snapshot %s", len(corpus), snapshot)
+            corpus._digest, (corpus._ids, corpus._texts, corpus._kinds, corpus._sources) = found
+            corpus._positions = None
         return corpus
 
     def _parse_jsonl(self, text: str, file: Path, default_kind: str) -> tuple:

@@ -86,7 +86,7 @@ class _CachingProvider:
         if any(len(shape) != 1 or shape[0] == 0 for shape in shapes):
             raise ValueError("embedding must be a non-empty 1-D vector")
         self.hold_dims({shape[0] for shape in shapes})
-        block = np.array(raw, dtype=np.float64)
+        block = np.asarray(raw, dtype=np.float64)  # a float64 array batch is not copied
         if not np.isfinite(block).all():
             raise ValueError("embedding contains non-finite entries")
         # the zero-norm test of np.linalg.norm, without materialising block * block

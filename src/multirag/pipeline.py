@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from . import confidence, retrieval
-from .corpus import Corpus
+from .corpus import Chunk, Corpus
 from .errors import StageError
 from .generation import DecodeParams, derive_seed, generate
 from .retrieval import PromptTemplate
@@ -114,15 +114,19 @@ def run_vanilla(question_id: str, question: str, model_id: str,
     if memo is not None and ("vanilla", model_id) in memo:
         return memo[("vanilla", model_id)]
     if config.k == 0:
-        ids = []
+        ids, positions = [], []
     else:
         row = _row(question_id, question, model_id, corpus, config, memo,
                    select=config.quotas or config.k)
         if config.quotas:
             ids = retrieval.top_k_by_kind(row, config.quotas)
+            positions = row.by_kind(config.quotas)
         else:
             ids = retrieval.top_k(row, config.k)
-    result = _answer(question_id, question, "vanilla", model_id, ids, corpus, config)
+            positions = row.top(config.k)
+    # the row caches its selection: read the chunks by position, not by id
+    references = [corpus.chunk_at(p) for p in positions]
+    result = _answer(question_id, question, "vanilla", model_id, ids, references, config)
     if memo is not None:
         memo[("vanilla", model_id)] = result
     return result
@@ -148,7 +152,8 @@ def run_mixture(question_id: str, question: str, model_ids: list[str],
         ids = [c.chunk_id for c in candidates]
     else:
         ids = []
-    return _answer(question_id, question, "mixture", combo, ids, corpus, config)
+    references = [corpus.get(cid) for cid in ids]
+    return _answer(question_id, question, "mixture", combo, ids, references, config)
 
 
 def _reject_repeats(model_ids: list[str]) -> None:
@@ -160,14 +165,14 @@ def _reject_repeats(model_ids: list[str]) -> None:
         seen.add(mid)
 
 
-def _answer(question_id: str, question: str, pipeline: str, tag: str,
-            ids: list[str], corpus: Corpus, config: PipelineConfig) -> QuestionResult:
-    """Prompt with the retrieved chunks, generate once, score the answer.
+def _answer(question_id: str, question: str, pipeline: str, tag: str, ids: list[str],
+            references: list[Chunk], config: PipelineConfig) -> QuestionResult:
+    """Prompt with ``references``, the retrieved chunks of ``ids``, generate
+    once, score the answer.
 
     ``tag`` names the run (a model id for vanilla, the joined subset for
     mixture): it keys the decode seed, the record and ``retrieved``.
     """
-    references = [corpus.get(cid) for cid in ids]
     prompt = _stage("prompt", retrieval.assemble_prompt,
                     config.template, question, references)
     params = replace(config.decode,

@@ -910,6 +910,32 @@ class TestOverlappedLoad:
         index.product(provider, unit_vector(8))
         assert provider.batches == 0
 
+    def test_a_product_compares_the_header_and_parses_only_another_form(self, tmp_path,
+                                                                      monkeypatch):
+        """A product on a stored matrix compares the header ``np.save``
+        writes instead of parsing it; a header written another way (version
+        2.0) is parsed by ``np.load`` and gives the same scores."""
+        vector = unit_vector(8, seed=5)
+        want = stepped_index(None).product(Counting(), vector)
+        built = stepped_index(tmp_path).matrix(Counting())
+        path = stepped_index(tmp_path).stored_path(Counting())
+        load, loads = np.load, []
+
+        def counted(*args, **kwargs):
+            loads.append(args)
+            return load(*args, **kwargs)
+
+        monkeypatch.setattr(corpus_module.np, "load", counted)
+        provider = Counting()
+        assert np.array_equal(stepped_index(tmp_path).product(provider, vector), want)
+        assert loads == [] and provider.batches == 0
+        with open(tmp_path / "v2.tmp", "wb") as f:
+            np.lib.format.write_array(f, built, version=(2, 0))
+        os.replace(tmp_path / "v2.tmp", path)
+        assert np.array_equal(stepped_index(tmp_path).product(provider, vector), want)
+        assert len(loads) == 1 and provider.batches == 0
+        assert path.read_bytes()[6:8] == bytes([2, 0])  # loaded, not rewritten
+
     def test_threads_map_stored_files_one_at_a_time(self, tmp_path, monkeypatch):
         providers = [Counting(m) for m in ("det-a", "det-b", "det-c", "det-d")]
         for provider in providers:
@@ -930,7 +956,8 @@ class TestOverlappedLoad:
         scored = {}
 
         def score(provider):
-            scored[provider.model_id] = index.product(provider, unit_vector(8))
+            # a matrix asked for without a query is mapped by np.load (a product is not)
+            scored[provider.model_id] = index.matrix(provider)
 
         threads = [threading.Thread(target=score, args=(p,)) for p in providers]
         for t in threads:

@@ -98,6 +98,23 @@ class TestVectorBits:
         assert not np.array_equal(vector.values, provider._vector("How \udc00 many?"))
 
 
+class TestCheckedBatch:
+    """``_checked`` stacks a list of vectors and keeps a float64 array batch as it is."""
+
+    def test_a_list_of_vectors_is_stacked(self):
+        provider = DeterministicProvider("det-a", dim=3)
+        rows = [np.array([1.0, 2.0, 2.0]), np.array([0.0, 3.0, 4.0])]
+        block = provider._checked(rows)
+        assert block.dtype == np.float64 and block.tolist() == [[1, 2, 2], [0, 3, 4]]
+        assert not any(np.shares_memory(block, row) for row in rows)
+
+    def test_a_float64_array_batch_is_not_copied(self):
+        provider = DeterministicProvider("det-a", dim=3)
+        batch = np.array([[1.0, 2.0, 2.0], [0.0, 3.0, 4.0]])
+        assert provider._checked(batch) is batch
+        assert provider._checked(batch.astype(np.float32)).dtype == np.float64
+
+
 class TestCosine:
     """Properties of ``kernels.cosine_scores``, the reference scorer for retrieval."""
 
