@@ -385,21 +385,43 @@ def test_a_lone_surrogate_text_still_hits(tmp_path, parses):
     assert second._digest == hashlib.sha256(snapshot.read_bytes()[HEAD:]).hexdigest()
 
 
-def test_a_hit_digests_the_snapshot_payload(files, tmp_path, parses):
-    """A hit's digest is the sha256 of the payload, which the header holds,
-    and the load starts no thread, on a hit and on a rejection."""
+@pytest.mark.parametrize("threaded", [False, True], ids=["inline", "threaded"])
+def test_a_hit_digests_the_snapshot_bytes(files, tmp_path, parses, threaded):
+    """Loaded on the caller's thread or on a worker thread, a hit's digest
+    is the sha256 of the payload bytes, which the header holds, and the
+    load starts no thread of its own, on a hit and on a rejection."""
     store = tmp_path / "index"
     cold = Corpus.from_files(files, store)
     (snapshot,) = snapshots(store)
     raw = snapshot.read_bytes()
-    threads = threading.active_count()
-    hit = Corpus.from_files(files, store)
-    assert threading.active_count() == threads and parses[0] == 2
-    assert hit._digest == cold._digest == hashlib.sha256(raw[HEAD:]).hexdigest()
-    assert raw[len(MAGIC):HEAD].hex() == hit._digest
-    snapshot.write_bytes(raw[:-1])
-    assert list(Corpus.from_files(files, store)) == list(hit)
-    assert threading.active_count() == threads and parses[0] == 4
+
+    def check():
+        threads = threading.active_count()
+        hit = Corpus.from_files(files, store)
+        assert threading.active_count() == threads and parses[0] == 2
+        assert hit._digest == cold._digest == hashlib.sha256(raw[HEAD:]).hexdigest()
+        assert raw[len(MAGIC):HEAD].hex() == hit._digest
+        snapshot.write_bytes(raw[:-1])
+        assert list(Corpus.from_files(files, store)) == list(hit)
+        assert threading.active_count() == threads and parses[0] == 4
+
+    if not threaded:
+        check()
+        return
+    failures = []
+
+    def run():
+        try:
+            check()
+        except BaseException as failure:
+            failures.append(failure)
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    if failures:
+        raise failures[0]
 
 
 def test_a_hit_says_what_it_read(files, tmp_path, caplog):
