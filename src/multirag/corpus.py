@@ -63,10 +63,9 @@ STEP_ROWS = 512
 COARSE_MIN_STEPS = 8
 # unit roundoff of float32 and of float64
 _U32, _U64 = 2.0 ** -24, 2.0 ** -53
-# np.load parses a .npy header with ast.literal_eval, and CPython 3.11's AST
-# constructor keeps its recursion depth in state all threads share: two threads
-# loading at once can fail with "AST constructor recursion depth mismatch"
-_NPY_LOAD_LOCK = threading.Lock()
+# the bytes of the .npy header np.save writes for any 2-D shape below 10**20
+# rows or columns: version 1.0, padded to a multiple of 64 bytes
+_NPY_HEAD = 128
 # what opening a stored file raises where there is none: a path under a
 # regular file, such as an unwritable store's, holds no file either
 _NO_FILE = (FileNotFoundError, NotADirectoryError)
@@ -111,14 +110,13 @@ class ChunkIndex:
     ``<key>.npy``, the key being a hash of the provider's fingerprint and
     ``digest``, the corpus digest (see ``snapshot_payload``); an index given
     no digest digests its own ids, kinds and texts by the same rule. A
-    missing or invalid file is built as without a store and then written.
-    A stored matrix is memory-mapped read-only, so processes that load one
-    file share its page-cache copy. A matrix built for a selection that can
-    take the coarse path (below) is written with its float32 copy and then
-    dropped, so the built block is freed once that selection returns and
-    later uses map the two files as a warm index does; every other build (a
-    whole row, a matrix of fewer than ``COARSE_MIN_STEPS`` steps, no store
-    or a failed write) stays in memory.
+    missing or invalid file is built as without a store and then written
+    (``_write_npy``). A stored matrix is memory-mapped read-only
+    (``_map_exact``), so processes that load one file share its page-cache
+    copy. A build that was written is returned for its one use and not
+    held, so the block is freed once that use returns, and later uses map
+    and check the file as a warm index does; only a build with no store,
+    or whose write failed, stays in memory.
     ``product(provider, vector)`` is ``matrix(provider) @ vector``, taken
     in steps of ``STEP_ROWS`` rows; on a stored matrix's first use the same
     pass also checks the file (see ``_load_matrix``).
@@ -126,7 +124,8 @@ class ChunkIndex:
     ``shortlist`` serves a selection from the stored matrix's float32 copy,
     ``<key>.f32.npy``, reading float64 rows only where the copy's error
     bound cannot rank them (see ``shortlist`` and ``coarse_bounds``); the
-    copy is written the first time that path finds none, or a bad one.
+    copy is written with a matrix built for a selection that can take that
+    path, and wherever that path finds none, or a bad one.
     """
 
     def __init__(self, ids: Sequence[str], kinds: list[str] | bytes | None = None,
@@ -216,8 +215,8 @@ class ChunkIndex:
         """``(matrix, product, None)``: the provider's matrix, loaded or built
         on first use, and its product with ``vector`` if loading it computed
         one, else None; or ``(None, None, shortlist)`` where the coarse path
-        served ``groups``. A matrix built for the coarse path is returned
-        for this one use and not held once it and its copy are stored."""
+        served ``groups``. A build is held only if it could not be stored:
+        with no store, or where a write failed."""
         with self._lock:
             slot = self._matrices.setdefault(provider, _Slot())
         with slot.lock:
@@ -235,11 +234,10 @@ class ChunkIndex:
             elif path is None:
                 mapped = None
             else:
-                # a query gives the shape to expect, so the header is compared, not
-                # parsed; np.load reads it only without a query or where it differs
-                mapped = None if vector is None else _map_exact(path, "<f8", (rows, len(vector)))
-                if vector is None or isinstance(mapped, str):
-                    mapped = _map_matrix(path, rows)
+                mapped = _map_exact(path, "<f8", rows)
+                if isinstance(mapped, str):
+                    _reject(path, mapped, rows)
+                    mapped = None
             if coarse:
                 found = "no stored matrix" if mapped is None else self._coarse(
                     slot, path, mapped, provider, vector, groups, t0)
@@ -255,31 +253,28 @@ class ChunkIndex:
                 path, mapped, provider, vector, reason)
             if block is not None:
                 if coarse:
-                    _write_copy(path, block)
+                    _write_npy(_copy_path(path), block, "<f4")
                 slot.block, slot.coarse = block, None
                 return block, scores, None
             t0 = time.perf_counter()
             block = _unit_rows(provider.embed_matrix(self._texts))
             log.debug("built the %d x %d corpus matrix of %r in %.3f s; full pass: %s",
                       *block.shape, provider.model_id, time.perf_counter() - t0, reason)
+            slot.block = slot.coarse = None
             if path is None:
                 kept = "no store"
-            elif not _write_atomic(path, lambda f: np.save(f, block, allow_pickle=False),
-                                   "corpus matrix"):
-                kept = "write failed"
-            elif not coarse:
-                kept = reason
-            elif not _write_copy(path, block):
+            elif not (_write_npy(path, block, "<f8")
+                      and (not coarse or _write_npy(_copy_path(path), block, "<f4"))):
                 kept = "write failed"
             else:
                 # later uses map and check the files as a warm engine does
-                log.debug("serving %r from the stored files %s and %s; releasing the "
-                          "%.1f MB matrix it built", provider.model_id, path.name,
-                          _copy_path(path).name, block.nbytes / 1e6)
-                slot.block = slot.coarse = None
+                log.debug("serving %r from the stored %s; releasing the %.1f MB matrix it "
+                          "built", provider.model_id,
+                          f"files {path.name} and {_copy_path(path).name}" if coarse
+                          else f"file {path.name}", block.nbytes / 1e6)
                 return block, None, None
             log.debug("keeping the built matrix of %r in memory: %s", provider.model_id, kept)
-            slot.block, slot.coarse = block, None
+            slot.block = block
             return block, None, None
 
     def _coarse(self, slot: _Slot, path: Path, mapped: np.ndarray, provider,
@@ -299,11 +294,13 @@ class ChunkIndex:
         if dim != len(vector):
             return f"a query of dimension {len(vector)} for rows of {dim}"
         first = slot.coarse is None
-        copy = _map_exact(_copy_path(path), "<f4", (rows, dim)) if first else slot.coarse[0]
+        copy = _map_exact(_copy_path(path), "<f4", rows) if first else slot.coarse[0]
         if copy is None:
             return "no float32 copy"
         if isinstance(copy, str):
             return _reject_copy(_copy_path(path), copy)
+        if copy.shape[1] != dim:
+            return _reject_copy(_copy_path(path), f"{copy.shape[1]} columns for rows of {dim}")
         bound = coarse_bounds(dim)
         bounds = _step_bounds(rows)
         t1 = time.perf_counter()
@@ -428,7 +425,7 @@ def _two_thread_pass(block: np.ndarray, vector: np.ndarray | None,
 def _load_matrix(path: Path, block: np.ndarray, provider, vector: np.ndarray | None,
                  reason: str) -> tuple[np.ndarray | None, ...]:
     """``(block, block @ vector)`` for ``block``, the stored matrix at
-    ``path`` as ``_map_matrix`` mapped it, if it passes every rule a built
+    ``path`` as ``_map_exact`` mapped it, if it passes every rule a built
     one does, else ``(None, None)``; ``reason`` says why no coarse path.
 
     One pass (``_two_thread_pass``) reads the file once: each step of
@@ -457,30 +454,6 @@ def _load_matrix(path: Path, block: np.ndarray, provider, vector: np.ndarray | N
     return block, scores
 
 
-def _map_matrix(path: Path, rows: int) -> np.ndarray | None:
-    """The header step of ``_load_matrix``: the file at ``path`` mapped
-    read-only if it holds a float64 matrix of ``rows`` rows and at least one
-    column, else None."""
-    try:
-        with _NPY_LOAD_LOCK:
-            block = np.load(path, mmap_mode="r", allow_pickle=False)
-    except _NO_FILE:
-        return None
-    except (OSError, ValueError, EOFError) as e:
-        log.warning("rejected the stored corpus matrix %s (%s); rebuilding it", path, e)
-        return None
-    if (not isinstance(block, np.ndarray) or block.dtype != np.float64 or block.ndim != 2
-            or block.shape[0] != rows or block.shape[1] == 0):
-        _reject(path, _described(block), rows)
-        return None
-    return block.view(np.ndarray)
-
-
-def _described(block) -> str:
-    return (f"{getattr(block, 'dtype', type(block).__name__)} "
-            f"of shape {getattr(block, 'shape', None)}")
-
-
 def _norm_problem(block: np.ndarray, squares: np.ndarray,
                   tol: float = UNIT_NORM_TOL) -> str | None:
     """Why ``block``'s rows, whose sums of squares are ``squares``, are not
@@ -493,9 +466,10 @@ def _norm_problem(block: np.ndarray, squares: np.ndarray,
 
 
 class _Slot:
-    """One provider's matrix in a ``ChunkIndex``: ``block``, the checked
-    matrix once held, else ``coarse``, the float32 copy and the float64 file
-    that the coarse path has mapped and checked, or None."""
+    """One provider's matrix in a ``ChunkIndex``: ``block``, the stored
+    matrix once mapped and checked, or a build that could not be stored;
+    else ``coarse``, the float32 copy and the float64 file that the coarse
+    path has mapped and checked, or None."""
 
     __slots__ = ("lock", "block", "coarse")
 
@@ -557,32 +531,33 @@ def _npy_header(descr: str, shape: tuple[int, ...]) -> bytes:
     return buffer.getvalue()
 
 
-def _map_exact(path: Path, descr: str, shape: tuple[int, int]) -> np.ndarray | str | None:
-    """The .npy file at ``path`` mapped read-only if it starts with
-    ``_npy_header(descr, shape)`` and holds exactly that array's bytes,
-    None if there is no file, else why not.
+def _map_exact(path: Path, descr: str, rows: int) -> np.ndarray | str | None:
+    """The .npy file at ``path`` mapped read-only as a ``(rows, dim)`` array
+    of ``descr``, None if there is no file, else why not.
 
-    Comparing the header bytes takes far less time than parsing them as
-    ``np.load`` does; a file whose header was written another way is
-    reported, not parsed.
+    ``dim`` follows from the file's size past the ``_NPY_HEAD`` header
+    bytes, so a size that gives no whole ``dim`` of at least 1 is rejected
+    as such. The file must then start with exactly the header ``_write_npy``
+    writes for that shape: it is compared, never parsed, so a header written
+    any other way is rejected, its text quoted.
     """
-    header = _npy_header(descr, shape)
     try:
         with open(path, "rb") as f:
-            if f.read(len(header)) != header:
-                return f"a header other than that of {descr} of shape {shape}"
+            head = f.read(_NPY_HEAD)
+            size = os.fstat(f.fileno()).st_size
+            column = max(rows, 1) * np.dtype(descr).itemsize
+            dim, rest = divmod(size - _NPY_HEAD, column)
+            if rest or dim < 1:
+                return f"{size} bytes, want {_NPY_HEAD} plus a positive multiple of {column}"
+            if head != _npy_header(descr, (rows, dim)):
+                return (f"a header other than that of {descr} with {rows} rows in a file "
+                        f"of {size} bytes: {head.decode('latin-1').rstrip()!r}")
             data = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
     except _NO_FILE:
         return None
     except (OSError, ValueError) as e:
         return str(e)
-    count = shape[0] * shape[1]
-    want = len(header) + count * np.dtype(descr).itemsize
-    if len(data) != want:
-        size = len(data)
-        data.close()
-        return f"{size} bytes, want {want}"
-    return np.frombuffer(data, dtype=descr, count=count, offset=len(header)).reshape(shape)
+    return np.ndarray((rows, dim), descr, buffer=data, offset=_NPY_HEAD)
 
 
 def _reject_copy(path: Path, problem: str) -> str:
@@ -590,16 +565,18 @@ def _reject_copy(path: Path, problem: str) -> str:
     return f"float32 copy rejected ({problem})"
 
 
-def _write_copy(path: Path, block: np.ndarray) -> bool:
-    """Write ``block`` in float32 to its copy's path beside ``path``, converted
-    one step at a time so that no full-size temporary exists, and say
-    whether it was stored."""
+def _write_npy(path: Path, block: np.ndarray, descr: str) -> bool:
+    """Write ``block`` to ``path`` as ``np.save`` writes it in ``descr``, the
+    header and then ``STEP_ROWS`` rows at a time, each step converted on its
+    own so that no full-size temporary exists, and say whether it was
+    stored."""
     def write(f):
-        f.write(_npy_header("<f4", block.shape))
+        f.write(_npy_header(descr, block.shape))
         for start in range(0, len(block), STEP_ROWS):
-            f.write(block[start:start + STEP_ROWS].astype("<f4"))
+            f.write(block[start:start + STEP_ROWS].astype(descr, copy=False))
 
-    return _write_atomic(_copy_path(path), write, "float32 copy of the corpus matrix")
+    return _write_atomic(path, write, "corpus matrix" if descr == "<f8"
+                         else "float32 copy of the corpus matrix")
 
 
 def _shortlist(coarse: np.ndarray, groups: list[tuple[np.ndarray | None, int]],

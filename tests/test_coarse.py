@@ -263,7 +263,7 @@ def _stale(copy_path, block):
     (_missing, "no float32 copy"),
     (_truncated, "float32 copy rejected ("),
     (_wrong_dtype, "float32 copy rejected (a header other than that of <f4"),
-    (_wrong_shape, "float32 copy rejected (a header other than that of <f4"),
+    (_wrong_shape, f"float32 copy rejected ({128 + (ROWS - 1) * DIM * 4} bytes, want 128 plus"),
     (_nan, "float32 copy rejected (non-finite entries)"),
     (_not_unit, "float32 copy rejected (rows that are not unit-norm)"),
     (_stale, "float32 copy incoherent (row "),
@@ -541,12 +541,15 @@ def test_each_build_says_whether_the_store_serves_it_from_then_on(tmp_path, capl
         return [r.getMessage() for r in caplog.records
                 if r.getMessage().startswith(("keeping the built", "serving "))]
 
+    def one_file(store, rows=ROWS):
+        (path,) = store.glob("*.npy")
+        return [f"serving 'det-a' from the stored file {path.name}; releasing the "
+                f"{rows * DIM * 8 / 1e6:.1f} MB matrix it built"]
+
     assert keep_lines(None, 3) == ["keeping the built matrix of 'det-a' in memory: no store"]
-    assert keep_lines(tmp_path / "whole", None) == [
-        "keeping the built matrix of 'det-a' in memory: whole row needed"]
-    assert keep_lines(tmp_path / "small", 3, rows=COARSE_MIN_STEPS * STEP_ROWS - 1) == [
-        "keeping the built matrix of 'det-a' in memory: "
-        f"a matrix of fewer than {COARSE_MIN_STEPS} steps"]
+    assert keep_lines(tmp_path / "whole", None) == one_file(tmp_path / "whole")
+    small = COARSE_MIN_STEPS * STEP_ROWS - 1
+    assert keep_lines(tmp_path / "small", 3, rows=small) == one_file(tmp_path / "small", small)
     blocked = tmp_path / "blocked"
     blocked.write_text("a file where the store should be")
     assert keep_lines(blocked / "index", 3) == [
@@ -610,6 +613,36 @@ def test_a_cold_confident_run_with_a_store_holds_one_built_matrix_at_a_time(tmp_
     stored, result = peak(tmp_path)
     control, want_result = peak(None)
     assert result == want_result
+    assert control > len(models) * matrix_bytes  # without a store all four stay held
+    assert stored < 2 * matrix_bytes
+
+
+def test_a_cold_sweep_with_a_store_holds_one_built_matrix_at_a_time(tmp_path):
+    """``eval``'s flows score whole rows: with a store each build is written
+    and dropped as well, so a cold sweep holds one at a time."""
+    import tracemalloc
+    from multirag.evaluation import QAItem, run_sweep
+    models = ["det-a", "det-b", "det-c", "det-d"]
+    dim = 64
+    matrix_bytes = ROWS * dim * 8
+
+    def peak(store):
+        corpus = make_corpus(store)
+        corpus.index()
+        cfg = confident_config(models, dim=dim, provider=SmallBatches)
+        items = [QAItem(id="q0", question=QUESTION, answer="3")]
+        tracemalloc.start()
+        try:
+            results = run_sweep(corpus, items, cfg, pipelines=["vanilla", "mixture"],
+                                sizes=[2, 4])
+            return tracemalloc.get_traced_memory()[1], [
+                (r.pipeline, r.answer, r.retrieved) for r in results]
+        finally:
+            tracemalloc.stop()
+
+    stored, results = peak(tmp_path)
+    control, want_results = peak(None)
+    assert results == want_results and len(results) == 1 + 4 + 7
     assert control > len(models) * matrix_bytes  # without a store all four stay held
     assert stored < 2 * matrix_bytes
 

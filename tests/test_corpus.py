@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from multirag import corpus as corpus_module
-from multirag.corpus import NORM_ROWS, Chunk, ChunkIndex, Corpus, _unit_rows
+from multirag.corpus import NORM_ROWS, STEP_ROWS, Chunk, ChunkIndex, Corpus, _unit_rows
 from multirag.embedding import DeterministicProvider, RemoteProvider
 from multirag.errors import (
     DimensionMismatchError,
@@ -487,6 +487,51 @@ class TestMatrixStore:
         assert build(tmp_path, provider).tobytes() == built[::-1].tobytes()
         assert provider.batches == 0
 
+    @pytest.mark.parametrize("descr", ["<f8", "<f4"])
+    @pytest.mark.parametrize("rows", [1, STEP_ROWS, 2 * STEP_ROWS + 37])
+    def test_the_stepwise_writer_writes_what_np_save_writes(self, tmp_path, descr, rows):
+        # so a store written by np.save keeps hitting, and the files stay np.load-readable
+        block = np.random.default_rng(rows).standard_normal((rows, 24))
+        assert corpus_module._write_npy(tmp_path / "stepped.npy", block, descr)
+        np.save(tmp_path / "saved.npy", block.astype(descr))
+        written = (tmp_path / "stepped.npy").read_bytes()
+        assert written == (tmp_path / "saved.npy").read_bytes()
+        assert np.load(tmp_path / "stepped.npy", allow_pickle=False).tobytes() == (
+            block.astype(descr).tobytes())
+
+    @pytest.mark.parametrize("use", ["product", "matrix"])
+    def test_a_written_build_is_served_from_its_file_from_then_on(self, tmp_path,
+                                                                  monkeypatch, use):
+        provider, vector = Counting(), unit_vector(8)
+        index = stored_corpus(tmp_path).index()
+        want = stored_corpus(None).index().product(Counting(), vector)
+
+        def run():
+            return index.product(provider, vector) if use == "product" else (
+                index.matrix(provider) @ vector)
+
+        first = run()
+        slot = index._matrices[provider]
+        assert slot.block is None and slot.coarse is None  # written, so not held
+        maps, passes = [], []
+        map_exact, two_thread_pass = corpus_module._map_exact, corpus_module._two_thread_pass
+
+        def counting_map(*args):
+            maps.append(args)
+            return map_exact(*args)
+
+        def counting_pass(*args):
+            passes.append(args)
+            return two_thread_pass(*args)
+
+        monkeypatch.setattr(corpus_module, "_map_exact", counting_map)
+        monkeypatch.setattr(corpus_module, "_two_thread_pass", counting_pass)
+        later = [run() for _ in range(3)]
+        assert len(maps) == 1 and len(passes) == 1  # mapped and checked once, then held
+        assert mapped(slot.block) is not None
+        assert provider.batches == 1  # embedded once
+        assert all(np.array_equal(scores, want) for scores in [first] + later)
+
     def test_load_and_build_are_logged(self, tmp_path, caplog):
         caplog.set_level(logging.DEBUG, logger="multirag.corpus")
         build(tmp_path)
@@ -792,8 +837,10 @@ class TestOverlappedLoad:
     @pytest.mark.parametrize("corrupt, problem", [
         ("_nan", "non-finite entries"),
         ("_not_unit", "rows that are not unit-norm"),
-        ("_wrong_dtype", "float32 of shape (12, 8)"),
-        ("_wrong_shape", "float64 of shape (11, 8)"),
+        ("_wrong_dtype", "a header other than that of <f8 with 12 rows in a file of 512 bytes: "
+                         "\"\\x93NUMPY\\x01\\x00v\\x00{'descr': '<f4', 'fortran_order': False, "
+                         "'shape': (12, 8), }\""),
+        ("_wrong_shape", "832 bytes, want 128 plus a positive multiple of 96"),
         ("_truncated", None),
     ])
     def test_invalid_file_is_rebuilt_and_scored_as_built(self, tmp_path, caplog,
@@ -801,18 +848,16 @@ class TestOverlappedLoad:
         built = build(tmp_path)
         (path,) = stored_files(tmp_path)
         getattr(TestMatrixStore, corrupt)(path, built)
+        if problem is None:  # half the file is left: the reason gives its size
+            problem = f"{path.stat().st_size} bytes, want 128 plus a positive multiple of 96"
         caplog.set_level(logging.WARNING, logger="multirag.corpus")
         provider = Counting()
         vector = unit_vector(8)
         scores = stored_corpus(tmp_path).index().product(provider, vector)
         assert provider.batches == 1
         (warning,) = [r.getMessage() for r in caplog.records if r.name == "multirag.corpus"]
-        if problem is None:  # np.load's own message
-            assert warning.startswith(f"rejected the stored corpus matrix {path} (")
-            assert warning.endswith("); rebuilding it")
-        else:
-            assert warning == (f"rejected the stored corpus matrix {path} ({problem}, "
-                               "want 12 float64 rows); rebuilding it")
+        assert warning == (f"rejected the stored corpus matrix {path} ({problem}, "
+                           "want 12 float64 rows); rebuilding it")
         assert np.array_equal(scores, built @ vector)
         assert stored_files(tmp_path) == [path]
         assert np.load(path, allow_pickle=False).tobytes() == built.tobytes()
@@ -914,58 +959,57 @@ class TestOverlappedLoad:
                                                                       monkeypatch):
         """A product on a stored matrix compares the header ``np.save``
         writes instead of parsing it; a header written another way (version
-        2.0) is parsed by ``np.load`` and gives the same scores."""
+        2.0) is not parsed either, but rejected, rebuilt and rewritten, and
+        gives the same scores."""
         vector = unit_vector(8, seed=5)
         want = stepped_index(None).product(Counting(), vector)
         built = stepped_index(tmp_path).matrix(Counting())
         path = stepped_index(tmp_path).stored_path(Counting())
-        load, loads = np.load, []
+        written = path.read_bytes()
 
-        def counted(*args, **kwargs):
-            loads.append(args)
-            return load(*args, **kwargs)
+        def refused(*args, **kwargs):
+            raise AssertionError("np.load was called")
 
-        monkeypatch.setattr(corpus_module.np, "load", counted)
+        monkeypatch.setattr(corpus_module.np, "load", refused)
         provider = Counting()
         assert np.array_equal(stepped_index(tmp_path).product(provider, vector), want)
-        assert loads == [] and provider.batches == 0
+        assert provider.batches == 0
         with open(tmp_path / "v2.tmp", "wb") as f:
             np.lib.format.write_array(f, built, version=(2, 0))
         os.replace(tmp_path / "v2.tmp", path)
         assert np.array_equal(stepped_index(tmp_path).product(provider, vector), want)
-        assert len(loads) == 1 and provider.batches == 0
-        assert path.read_bytes()[6:8] == bytes([2, 0])  # loaded, not rewritten
+        assert provider.batches > 0  # embedded again
+        assert path.read_bytes() == written  # rewritten with the version 1.0 header
 
     def test_threads_map_stored_files_one_at_a_time(self, tmp_path, monkeypatch):
+        """Threads that ask a warm store for its matrices at once each get
+        the stored bytes, mapped, and no header is parsed."""
         providers = [Counting(m) for m in ("det-a", "det-b", "det-c", "det-d")]
-        for provider in providers:
-            build(tmp_path, provider)
-        load, inside, most = np.load, [0], [0]
+        built = {p.model_id: build(tmp_path, p) for p in providers}
 
-        def watched(*args, **kwargs):
-            inside[0] += 1
-            most[0] = max(most[0], inside[0])
-            time.sleep(0.01)  # a second thread would enter here if it could
-            try:
-                return load(*args, **kwargs)
-            finally:
-                inside[0] -= 1
+        def refused(*args, **kwargs):
+            raise AssertionError("np.load was called")
 
-        monkeypatch.setattr(corpus_module.np, "load", watched)
+        monkeypatch.setattr(corpus_module.np, "load", refused)
         index = stored_corpus(tmp_path).index()
-        scored = {}
+        gate = threading.Barrier(len(providers), timeout=10)
+        scored, errors = {}, []
 
         def score(provider):
-            # a matrix asked for without a query is mapped by np.load (a product is not)
-            scored[provider.model_id] = index.matrix(provider)
+            try:
+                gate.wait()  # every thread asks at once
+                scored[provider.model_id] = index.matrix(provider)
+            except Exception as e:  # surfaced by the assertion below
+                errors.append(e)
 
         threads = [threading.Thread(target=score, args=(p,)) for p in providers]
         for t in threads:
             t.start()
         for t in threads:
             t.join(timeout=30)
-        assert not any(t.is_alive() for t in threads)
-        assert len(scored) == len(providers) and most[0] == 1
+        assert not any(t.is_alive() for t in threads) and errors == []
+        assert all(mapped(scored[m]) is not None and scored[m].tobytes() == built[m].tobytes()
+                   for m in built)
         assert all(p.batches == 1 for p in providers)  # built once above, then loaded
 
     def test_threads_loading_stepped_matrices_at_once(self, tmp_path):
