@@ -14,6 +14,7 @@ be keyed by it.
 from __future__ import annotations
 
 import hashlib
+import logging
 import threading
 from dataclasses import dataclass
 from operator import itemgetter
@@ -22,6 +23,64 @@ import numpy as np
 
 from . import transport
 from .errors import DimensionMismatchError, EmbeddingError, ZeroVectorError
+
+log = logging.getLogger(__name__)
+
+# numpy's SeedSequence hash constants (pool of 4 words; NEP 19)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_keys(init: int, mult: int, n: int) -> list[tuple[np.uint32, np.uint32]]:
+    """The (xor, multiplier) pairs of a SeedSequence hash's first ``n`` calls:
+    the hash constant moves on by ``mult`` at every call, whatever it hashes."""
+    keys, const = [], init
+    for _ in range(n):
+        nxt = const * mult & 0xFFFFFFFF
+        keys.append((np.uint32(const), np.uint32(nxt)))
+        const = nxt
+    return keys
+
+
+_MIX_KEYS = _hash_keys(_INIT_A, _MULT_A, 4 + 4 * 3)  # 4 words in, then 12 cross mixes
+_STATE_KEYS = _hash_keys(_INIT_B, _MULT_B, 8)  # 4 uint64 words out
+
+
+def _hashed(words: np.ndarray, key: tuple[np.uint32, np.uint32]) -> np.ndarray:
+    xor, mult = key
+    words = (words ^ xor) * mult
+    return words ^ (words >> np.uint32(16))
+
+
+def _mixed(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    words = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return words ^ (words >> np.uint32(16))
+
+
+def seed_states(seeds: np.ndarray) -> np.ndarray:
+    """``SeedSequence(s).generate_state(4, np.uint64)`` of every uint64 seed
+    ``s``, as one (n, 4) array computed in uint32 passes over all seeds.
+
+    A seed enters the pool as its low and high 32-bit words. A seed below
+    2**32 is one word, but the pool hashes 0 in place of a missing word, so
+    a zero high word hashes as the missing word does.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    zeros = np.zeros(len(seeds), dtype=np.uint32)
+    words = [seeds.astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32), zeros, zeros]
+    keys = iter(_MIX_KEYS)
+    pool = [_hashed(w, next(keys)) for w in words]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mixed(pool[dst], _hashed(pool[src], next(keys)))
+    state = np.empty((len(seeds), 8), dtype="<u4")
+    for i, key in enumerate(_STATE_KEYS):
+        state[:, i] = _hashed(pool[i % 4], key)
+    return state.view("<u8").astype(np.uint64)
 
 
 @dataclass(frozen=True)
@@ -104,6 +163,7 @@ class _CachingProvider:
             if out is None:
                 out = np.empty((len(texts), block.shape[1]))
             out[start:start + len(block)] = block
+            del block  # the next batch is computed without this one held
         return out
 
     def embed(self, texts: list[str]) -> list[EmbeddingVector]:
@@ -121,9 +181,16 @@ class _CachingProvider:
 
 
 class DeterministicProvider(_CachingProvider):
-    """Pure test provider: vector = seeded-hash expansion of (model id, text)."""
+    """Pure test provider: vector = seeded-hash expansion of (model id, text).
+
+    ``_vector`` defines a text's vector. A batch of at least ``BATCH_MIN``
+    texts reproduces those bits in ``_batch_vectors``, which seeds one reused
+    generator per text instead of building one; below that, building one
+    per text costs less than the batch path's set-up.
+    """
 
     VECTOR_VERSION = 1  # bump when _vector or _compute_batch changes its output
+    BATCH_MIN = 24  # texts from which _batch_vectors is faster than _vector per text
 
     def __init__(self, model_id: str, dim: int = 32):
         if dim <= 0:
@@ -131,6 +198,7 @@ class DeterministicProvider(_CachingProvider):
         super().__init__(dim)
         self.model_id = model_id
         self.dim = dim
+        self._batch_path = True  # until a batch's first row differs from _vector's
 
     def fingerprint(self) -> dict:
         # a numpy release may change the Generator streams behind _vector
@@ -138,17 +206,57 @@ class DeterministicProvider(_CachingProvider):
                 "numpy": np.__version__, "vector": self.VECTOR_VERSION}
 
     def _compute_batch(self, texts: list[str]) -> np.ndarray:
-        block = np.array([self._vector(t) for t in texts])
-        # shift away from the (astronomically unlikely) zero vector
-        block[np.linalg.norm(block, axis=1) < 1e-9, 0] += 1.0
+        block = None
+        if self._batch_path and len(texts) >= self.BATCH_MIN:
+            block = self._batch_vectors(texts)
+            if block[0].tobytes() != self._vector(texts[0]).tobytes():
+                self._batch_path, block = False, None
+                log.warning("the batch vectors of %r differ from its per-text vectors under "
+                            "numpy %s; computing every vector per text", self.model_id,
+                            np.__version__)
+        if block is None:
+            block = np.empty((len(texts), self.dim))
+            for j, text in enumerate(texts):
+                block[j] = self._vector(text)
+        # shift away from the (astronomically unlikely) zero vector; the row
+        # norms without np.linalg.norm's block-sized temporary
+        block[np.sqrt(np.einsum("ij,ij->i", block, block)) < 1e-9, 0] += 1.0
         return block
 
-    def _vector(self, text: str) -> np.ndarray:
+    def _seed(self, text: str) -> int:
         # "surrogatepass", as derive_seed: the loaders keep a lone surrogate that a
         # "\ud800" escape spells, and every other text encodes as before
         digest = hashlib.blake2b(f"{self.model_id}\x00{text}".encode("utf-8", "surrogatepass"),
                                  digest_size=8).digest()
-        return np.random.default_rng(int.from_bytes(digest, "big")).standard_normal(self.dim)
+        return int.from_bytes(digest, "big")
+
+    def _vector(self, text: str) -> np.ndarray:
+        return np.random.default_rng(self._seed(text)).standard_normal(self.dim)
+
+    def _batch_vectors(self, texts: list[str]) -> np.ndarray:
+        """``_vector`` of every text, as rows of one block.
+
+        ``default_rng(seed)`` builds a PCG64 from ``SeedSequence(seed)``'s
+        ``generate_state(4, np.uint64)``: words 0-1 are ``initstate`` and
+        words 2-3 ``initseq``, high word first, and PCG64's set-seq seeding
+        makes ``inc = initseq << 1 | 1`` and ``state = (inc + initstate) * M
+        + inc`` (mod 2**128). So every text's generator state is derived for
+        the whole batch at once, and one generator, built for this call
+        alone, is set to each state in turn and draws straight into its row.
+        """
+        seeds = np.fromiter(map(self._seed, texts), dtype=np.uint64, count=len(texts))
+        bits = np.random.PCG64(0)
+        generator = np.random.Generator(bits)
+        value = bits.state
+        pcg = value["state"]
+        block = np.empty((len(texts), self.dim))
+        for row, (s_hi, s_lo, q_hi, q_lo) in zip(block, seed_states(seeds).tolist()):
+            inc = (q_hi << 65 | q_lo << 1 | 1) & _MASK128
+            pcg["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+            pcg["inc"] = inc
+            bits.state = value
+            generator.standard_normal(out=row)
+        return block
 
 
 class RemoteProvider(_CachingProvider):
@@ -195,4 +303,7 @@ class RemoteProvider(_CachingProvider):
         except TypeError:  # only an item that is not an object refuses a str key
             raise EmbeddingError(
                 f"provider {self.model_id!r}: an item of data is not an object") from None
-        return [np.asarray(v, dtype=np.float64) for v in vectors]
+        if not set(map(type, vectors)) <= {list}:
+            raise transport.type_error(vectors, (list,), "data[].embedding", EmbeddingError)
+        return [np.frombuffer(transport.floats(v, "data[].embedding[]", EmbeddingError))
+                for v in vectors]

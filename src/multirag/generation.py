@@ -397,15 +397,17 @@ class OpenAIChatBackend:
         ``LogprobsMissingError`` and a field of the wrong type a
         ``GenerationError``, each naming the field.
         """
-        chosen_lps = _floats(_field(content, "logprob", "logprobs.content[]"),
-                             "logprobs.content[].logprob")
+        chosen_lps = transport.floats(_field(content, "logprob", "logprobs.content[]"),
+                                      "logprobs.content[].logprob", GenerationError)
         tokens = _strs(_field(content, "token", "logprobs.content[]"), "logprobs.content[].token")
         tops = _field(content, "top_logprobs", "logprobs.content[]")
         if not set(map(type, tops)) <= {list}:
-            raise _type_error(tops, (list,), "logprobs.content[].top_logprobs")
+            raise transport.type_error(tops, (list,), "logprobs.content[].top_logprobs",
+                                       GenerationError)
         entries = list(chain.from_iterable(tops))
         names = _strs(_field(entries, "token", "top_logprobs[]"), "top_logprobs[].token")
-        lps = _floats(_field(entries, "logprob", "top_logprobs[]"), "top_logprobs[].logprob")
+        lps = transport.floats(_field(entries, "logprob", "top_logprobs[]"),
+                               "top_logprobs[].logprob", GenerationError)
         lens = list(map(len, tops))
         chosen: list[int] = []  # flat position of each chosen token
         appended: list[tuple[int, int]] = []  # (flat position, step) of unlisted chosen tokens
@@ -434,15 +436,6 @@ class OpenAIChatBackend:
                          np.where(rest > 0.0, rest, 0.0), np.full(len(lens), self.vocab_size))
 
 
-def _type_error(values: list, kinds: tuple[type, ...], where: str) -> GenerationError:
-    """The error for the first of ``values`` whose type is none of ``kinds``
-    (exactly: a bool is not an int here)."""
-    bad = next(type(v) for v in values if type(v) not in kinds)
-    names = " or ".join(k.__name__ for k in kinds)
-    return GenerationError(
-        f"response field {where} holds a value of type {bad.__name__}, not {names}")
-
-
 def _typed(value, kind: type, where: str):
     """``value`` if its type is exactly ``kind``, else a GenerationError naming the field."""
     if type(value) is not kind:
@@ -460,7 +453,7 @@ def _field(objects: list[dict], key: str, where: str) -> list:
     except KeyError:
         raise LogprobsMissingError(f"response field {where} omits {key!r}") from None
     except TypeError:  # only a value that is not an object refuses a str key
-        raise _type_error(objects, (dict,), where) from None
+        raise transport.type_error(objects, (dict,), where, GenerationError) from None
 
 
 def _strs(values: list, where: str) -> list[str]:
@@ -468,20 +461,8 @@ def _strs(values: list, where: str) -> list[str]:
     try:
         "".join(values)
     except TypeError:
-        raise _type_error(values, (str,), where) from None
+        raise transport.type_error(values, (str,), where, GenerationError) from None
     return values
-
-
-def _floats(values: list, where: str) -> array:
-    """``values`` as float64s, refusing strings and nulls in the same pass;
-    ``array`` reads a bool as 0 or 1, so one type pass refuses booleans."""
-    try:
-        floats = array("d", values)
-    except TypeError:
-        floats = None
-    if floats is None or not {bool}.isdisjoint(map(type, values)):
-        raise _type_error(values, (float, int), where)
-    return floats
 
 
 def _chosen_at(item: dict, token: str, logprob: float, names: list[str], lps: array,

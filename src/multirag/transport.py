@@ -1,12 +1,14 @@
-"""Small HTTP JSON helper shared by the remote embedding and LLM clients."""
+"""Small HTTP JSON helper shared by the remote embedding and LLM clients,
+with the type rules both apply to the fields of a reply."""
 
 from __future__ import annotations
 
 import logging
 import os
 import time
+from array import array
 
-from .errors import ConfigError, TransportError
+from .errors import ConfigError, MultiragError, TransportError
 
 log = logging.getLogger(__name__)
 
@@ -80,3 +82,24 @@ def post_json(url: str, payload: dict, headers: dict[str, str],
             if delay > 0:
                 time.sleep(delay)
     raise TransportError(f"{url}: giving up after {retries + 1} attempts: {last}")
+
+
+def type_error(values: list, kinds: tuple[type, ...], where: str,
+               error: type[MultiragError]) -> MultiragError:
+    """The ``error`` for the first of ``values`` whose type is none of ``kinds``
+    (exactly: a bool is not an int here)."""
+    bad = next(type(v) for v in values if type(v) not in kinds)
+    names = " or ".join(k.__name__ for k in kinds)
+    return error(f"response field {where} holds a value of type {bad.__name__}, not {names}")
+
+
+def floats(values: list, where: str, error: type[MultiragError]) -> array:
+    """``values`` as float64s, refusing strings, nulls and lists in the same
+    pass; ``array`` reads a bool as 0 or 1, so one type pass refuses booleans."""
+    try:
+        out = array("d", values)
+    except TypeError:
+        out = None
+    if out is None or not {bool}.isdisjoint(map(type, values)):
+        raise type_error(values, (float, int), where, error)
+    return out
