@@ -1,9 +1,10 @@
 import hashlib
+import logging
 
 import numpy as np
 import pytest
 
-from multirag import kernels
+from multirag import embedding, kernels
 from multirag.embedding import DeterministicProvider, EmbeddingVector
 from multirag.errors import DimensionMismatchError, ZeroVectorError
 
@@ -69,9 +70,15 @@ class TestDeterministicProvider:
 
     def test_zero_vector_shifted_per_block(self, monkeypatch):
         p = DeterministicProvider("det-a", dim=3)
-        real = p._vector
-        monkeypatch.setattr(p, "_vector", lambda t: np.zeros(3) if t == "zero" else real(t))
-        matrix = p.embed_matrix(["one", "zero", "two"])
+        real, drawn = p._vector, p._batch_vectors
+
+        def with_zero(texts):
+            block = drawn(texts)
+            block[[t == "zero" for t in texts]] = 0.0
+            return block
+
+        monkeypatch.setattr(p, "_batch_vectors", with_zero)
+        matrix = p.embed_matrix(["one", "zero", "two"] + [f"pad {i}" for i in range(p.BATCH_MIN)])
         assert matrix[1].tolist() == [1.0, 0.0, 0.0]
         assert (matrix[[0, 2]] == np.array([real("one"), real("two")])).all()
 
@@ -96,6 +103,89 @@ class TestVectorBits:
         (vector,) = provider.embed(["How \ud800 many?"])
         assert vector.values.shape == (8,)
         assert not np.array_equal(vector.values, provider._vector("How \udc00 many?"))
+
+
+def reference_vector(model_id: str, dim: int, text: str) -> np.ndarray:
+    """A text's vector as ``default_rng`` of its digest draws it, zero-shifted."""
+    digest = hashlib.blake2b(f"{model_id}\x00{text}".encode("utf-8", "surrogatepass"),
+                             digest_size=8).digest()
+    vector = np.random.default_rng(int.from_bytes(digest, "big")).standard_normal(dim)
+    if np.linalg.norm(vector) < 1e-9:
+        vector[0] += 1.0
+    return vector
+
+
+class TestBatchPath:
+    """A batch of at least BATCH_MIN texts seeds one generator per text from
+    states derived for the whole batch, and gives ``_vector``'s bits."""
+
+    def test_states_equal_seed_sequence(self):
+        edges = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+        drawn = np.random.default_rng(25).integers(0, 2**64, size=10_000, dtype=np.uint64)
+        seeds = np.concatenate([np.array(edges, dtype=np.uint64), drawn])
+        want = np.array([np.random.SeedSequence(int(s)).generate_state(4, np.uint64)
+                         for s in seeds])
+        got = embedding.seed_states(seeds)
+        assert got.dtype == np.uint64 and got.shape == (len(seeds), 4)
+        assert (got == want).all()
+
+    @pytest.mark.parametrize("dim", [1, 32, 384])
+    def test_matrix_equals_default_rng_reference(self, dim, caplog):
+        texts = [f"chunk {i}: Ann has {i % 7} coins" for i in range(4990)]
+        texts += ["How \ud800 many?", "café ☕ 7", "a\x00b", "x" * 10_000, "", "日本語のテキスト"]
+        texts += texts[:7]  # duplicates, the first in another batch than its twin
+        assert len(texts) == 5003
+        provider = DeterministicProvider("det-a", dim=dim)
+        provider.batch_size = 1000  # four batch passes, then three texts by _vector
+        with caplog.at_level(logging.WARNING, logger="multirag.embedding"):
+            matrix = provider.embed_matrix(texts)
+        assert not caplog.records  # the batch path's own bits, not the per-text fallback's
+        want = np.array([reference_vector("det-a", dim, t) for t in texts])
+        assert matrix.tobytes() == want.tobytes()
+
+    def test_a_question_embed_never_enters_the_batch_path(self, monkeypatch):
+        provider = DeterministicProvider("det-a", dim=8)
+        batches = []
+        drawn = provider._batch_vectors
+        monkeypatch.setattr(provider, "_batch_vectors",
+                            lambda texts: batches.append(len(texts)) or drawn(texts))
+        (vector,) = provider.embed(["How many coins does Ann have?"])
+        small = provider.embed_matrix([f"t{i}" for i in range(provider.BATCH_MIN - 1)])
+        assert batches == []
+        assert vector.values.tobytes() == provider._vector("How many coins does Ann have?").tobytes()
+        large = provider.embed_matrix([f"t{i}" for i in range(provider.BATCH_MIN)])
+        assert batches == [provider.BATCH_MIN]
+        assert large[:-1].tobytes() == small.tobytes()
+
+    def test_a_wrong_derivation_warns_once_and_keeps_the_bits(self, monkeypatch, caplog):
+        derive = embedding.seed_states
+        monkeypatch.setattr(embedding, "seed_states", lambda seeds: derive(seeds) ^ np.uint64(1))
+        provider = DeterministicProvider("det-a", dim=16)
+        provider.batch_size = 100
+        texts = [f"chunk {i}" for i in range(250)]
+        with caplog.at_level(logging.WARNING, logger="multirag.embedding"):
+            matrix = provider.embed_matrix(texts)
+            again = provider.embed_matrix(texts[::-1])
+        assert len(caplog.records) == 1
+        assert "per text" in caplog.records[0].getMessage()
+        want = np.array([reference_vector("det-a", 16, t) for t in texts])
+        assert matrix.tobytes() == want.tobytes()
+        assert again.tobytes() == want[::-1].tobytes()
+
+    def test_a_matrix_peaks_below_1_6_times_its_bytes(self):
+        import tracemalloc
+
+        texts = [f"chunk {i}: Ann has {i % 7} coins" for i in range(4133)]
+        provider = DeterministicProvider("det-a", dim=64)
+        provider.batch_size = 1024
+        provider.embed_matrix(texts[:64])  # first-use allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            matrix = provider.embed_matrix(texts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * matrix.nbytes
 
 
 class TestCheckedBatch:

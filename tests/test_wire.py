@@ -222,6 +222,13 @@ class TestEmbeddingsWire:
         with pytest.raises(ZeroVectorError):
             provider.embed(["a"])
 
+    def test_integer_values_read_as_floats(self, stub_server):
+        stub_server.route("/v1/embeddings",
+                          lambda body: (200, {"data": [{"embedding": [1, -2, 0.5]}]}))
+        provider = RemoteProvider("emb-x", endpoint=stub_server.url, retries=0)
+        (vector,) = provider.embed(["a"])
+        assert vector.values.dtype == np.float64 and vector.values.tolist() == [1.0, -2.0, 0.5]
+
     def test_wrong_cardinality_fatal(self, stub_server):
         stub_server.route("/v1/embeddings",
                           lambda body: (200, {"data": [{"embedding": [1.0, 2.0]}]}))
@@ -460,7 +467,14 @@ class TestMalformedReplies:
     @pytest.mark.parametrize("item, field", [
         ({"vector": [1.0, 2.0]}, "omits 'embedding'"),
         ([1.0, 2.0], "is not an object"),
-    ], ids=["no-embedding", "item-list"])
+        ({"embedding": ["0.5", 0.25]}, "data[].embedding[] holds a value of type str"),
+        ({"embedding": [0.5, True]}, "data[].embedding[] holds a value of type bool"),
+        ({"embedding": [0.5, None]}, "data[].embedding[] holds a value of type NoneType"),
+        ({"embedding": [[0.5], [0.25]]}, "data[].embedding[] holds a value of type list"),
+        ({"embedding": "0.5"}, "data[].embedding holds a value of type str, not list"),
+        ({"embedding": {"1": 0.5}}, "data[].embedding holds a value of type dict, not list"),
+    ], ids=["no-embedding", "item-list", "value-str", "value-bool", "value-null",
+            "value-list", "embedding-str", "embedding-object"])
     def test_embeddings(self, stub_server, item, field):
         stub_server.route("/v1/embeddings", lambda body: (200, {"data": [item]}))
         provider = RemoteProvider("emb-x", endpoint=stub_server.url, retries=0)
