@@ -136,7 +136,7 @@ class TestBatchPath:
         texts += texts[:7]  # duplicates, the first in another batch than its twin
         assert len(texts) == 5003
         provider = DeterministicProvider("det-a", dim=dim)
-        provider.batch_size = 1000  # four batch passes, then three texts by _vector
+        provider.batch_size = 1000  # five batch passes, then three texts by _vector
         with caplog.at_level(logging.WARNING, logger="multirag.embedding"):
             matrix = provider.embed_matrix(texts)
         assert not caplog.records  # the batch path's own bits, not the per-text fallback's
