@@ -50,12 +50,10 @@ _SNAPSHOT_HEAD = len(_SNAPSHOT_MAGIC) + 32
 # runs and source bytes (see snapshot_payload)
 _COUNTS = 5
 UNIT_NORM_TOL = 1e-9  # a stored row's norm may differ from 1 by this much
-# rows normalised per step: np.linalg.norm allocates two temporaries the size
-# of its input, so a step over the whole matrix briefly triples its memory
-NORM_ROWS = 256
-# rows per step of a corpus matrix product and of a stored matrix's check;
-# numpy releases the GIL only in a loop of more than 500 rows, which the
-# load's two threads need (see _load_matrix)
+# rows per step of every pass over a corpus matrix: its normalisation, its
+# products and a stored matrix's check, the writer and _resolve's recomputed
+# steps. The product's steps fix every score's bits whatever BLAS threading
+# each step gets (see _step_bounds), so this size is part of a stored score.
 STEP_ROWS = 512
 # a stored matrix of fewer steps is never read through its float32 copy: below
 # this the coarse path's fixed costs (a second file header, the shortlist, the
@@ -306,7 +304,7 @@ class ChunkIndex:
         t1 = time.perf_counter()
         coarse = np.empty(rows, dtype=np.float32)
         squares = np.empty(rows, dtype=np.float32) if first else None
-        _two_thread_pass(copy, vector.astype(np.float32), coarse, squares, bounds)
+        _row_steps(copy, vector.astype(np.float32), coarse, squares, bounds)
         if first:
             problem = _norm_problem(copy, squares, bound.norm_tol)
             if problem is not None:
@@ -341,18 +339,19 @@ class ChunkIndex:
 
 
 def _unit_rows(block: np.ndarray) -> np.ndarray:
-    """Divide each row of ``block`` by its L2 norm, in place, NORM_ROWS rows
+    """Divide each row of ``block`` by its L2 norm, in place, STEP_ROWS rows
     at a time.
 
     A row's norm does not depend on the other rows in the step, so the
-    result is bit-identical to one ``np.linalg.norm`` over the whole block.
-    Keeping the temporaries smaller than the block also keeps them from
+    result is bit-identical to one ``np.linalg.norm`` over the whole block,
+    whose two temporaries the size of its input would briefly triple the
+    matrix's memory. Keeping them smaller than the block also keeps them from
     raising glibc's mmap threshold to the block's size: if they did, the
     next model's matrix would land in the brk heap, and how much of it the
     heap gives back once it is freed would vary from run to run.
     """
-    for start in range(0, len(block), NORM_ROWS):
-        rows = block[start:start + NORM_ROWS]
+    for start in range(0, len(block), STEP_ROWS):
+        rows = block[start:start + STEP_ROWS]
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
     return block
 
@@ -375,51 +374,15 @@ def _row_steps(block: np.ndarray, vector: np.ndarray | None, scores: np.ndarray 
                squares: np.ndarray | None, bounds: list[int]) -> None:
     """For each step between ``bounds``, write ``block @ vector`` into
     ``scores`` and each row's sum of squares into ``squares`` while the
-    step's rows are still in cache; a None output is skipped.
-
-    It calls numpy only: the load runs it on a second thread, and
-    perfbench's tracer wraps package functions with a span stack that is
-    not thread-safe.
-    """
+    step's rows are still in cache; a None output is skipped."""
     for start, stop in zip(bounds, bounds[1:]):
         rows = block[start:stop]
         if scores is not None:
             np.matmul(rows, vector, out=scores[start:stop])
         if squares is not None:
-            # a batch of 1 x dim by dim x 1 products: as fast as a row-wise
-            # dot kernel, and it releases the GIL for a step of STEP_ROWS rows
+            # a batch of 1 x dim by dim x 1 products: as fast as a row-wise dot kernel
             np.matmul(rows[:, None, :], rows[:, :, None],
                       out=squares[start:stop, None, None])
-
-
-def _two_thread_pass(block: np.ndarray, vector: np.ndarray | None,
-                     scores: np.ndarray | None, squares: np.ndarray | None,
-                     bounds: list[int]) -> None:
-    """``_row_steps`` over every step between ``bounds``: this thread takes
-    the first half of the steps and a second thread the rest (numpy releases
-    the GIL in both products); a matrix of one step is read on this thread
-    alone. The thread has ended when this returns or raises, and an error on
-    it is raised here."""
-    half = len(bounds) // 2
-    errors: list[BaseException] = []
-
-    def helper():
-        try:
-            _row_steps(block, vector, scores, squares, bounds[half:])
-        except BaseException as e:  # raised again on the caller's thread
-            errors.append(e)
-
-    thread = None
-    if len(bounds) > 2:
-        thread = threading.Thread(target=helper, name="multirag-matrix-load")
-        thread.start()
-    try:
-        _row_steps(block, vector, scores, squares, bounds if thread is None else bounds[:half + 1])
-    finally:
-        if thread is not None:
-            thread.join()
-    if errors:
-        raise errors[0]
 
 
 def _load_matrix(path: Path, block: np.ndarray, provider, vector: np.ndarray | None,
@@ -428,7 +391,7 @@ def _load_matrix(path: Path, block: np.ndarray, provider, vector: np.ndarray | N
     ``path`` as ``_map_exact`` mapped it, if it passes every rule a built
     one does, else ``(None, None)``; ``reason`` says why no coarse path.
 
-    One pass (``_two_thread_pass``) reads the file once: each step of
+    One pass (``_row_steps``) reads the file once: each step of
     ``STEP_ROWS`` rows gives its rows' scores and sums of squares while it
     is in cache. When ``vector`` does not fit the matrix, the pass computes
     the squares only and the product is None. The scores are kept only if
@@ -442,7 +405,7 @@ def _load_matrix(path: Path, block: np.ndarray, provider, vector: np.ndarray | N
         vector = None
     scores = None if vector is None else np.empty(rows)
     squares = np.empty(rows)
-    _two_thread_pass(block, vector, scores, squares, _step_bounds(rows))
+    _row_steps(block, vector, scores, squares, _step_bounds(rows))
     problem = _norm_problem(block, squares)
     if problem is not None:
         _reject(path, problem, rows)

@@ -141,7 +141,8 @@ class _CachingProvider:
 
     def _checked(self, raw: list[np.ndarray] | np.ndarray) -> np.ndarray:
         """Stack one computed batch, holding it to ``EmbeddingVector``'s rules."""
-        shapes = {np.shape(v) for v in raw}
+        # an array batch's rows share its shape; a list's vectors are each checked
+        shapes = {raw.shape[1:]} if isinstance(raw, np.ndarray) else {np.shape(v) for v in raw}
         if any(len(shape) != 1 or shape[0] == 0 for shape in shapes):
             raise ValueError("embedding must be a non-empty 1-D vector")
         self.hold_dims({shape[0] for shape in shapes})

@@ -56,6 +56,11 @@ class QAItem:
 
 
 _GOLD_KEYS = ("id", "question", "answer")
+# the longest gold line handed to orjson, which has no depth limit: a deeply
+# nested line overflows the C stack and kills the process. A line nests no
+# deeper than its length, and the stdlib reads a longer one, raising at its
+# own depth limit instead.
+_ORJSON_MAX_LINE = 10_000
 
 
 def load_gold(path: str | Path) -> list[QAItem]:
@@ -66,10 +71,10 @@ def load_gold(path: str | Path) -> list[QAItem]:
     unique: the report keys each question by its id.
 
     orjson decodes the lines and the rules are checked column by column
-    (``_gold_columns``). A file with a line orjson rejects or may read
-    differently from the stdlib, or with any broken rule, is read again
-    line by line through the stdlib (``_gold_lines``), which names the
-    first error.
+    (``_gold_columns``). A file with a line orjson rejects, may read
+    differently from the stdlib or is not given (a long one), or with any
+    broken rule, is read again line by line through the stdlib
+    (``_gold_lines``), which names the first error.
     """
     path = Path(path)
     text = decode_text(read_bytes(path), path)
@@ -78,8 +83,9 @@ def load_gold(path: str | Path) -> list[QAItem]:
 
 
 def _gold_columns(text: str) -> list[QAItem] | None:
-    """The items of the gold file ``text`` if orjson reads every non-blank
-    line and every rule holds, else None.
+    """The items of the gold file ``text`` if no line is longer than
+    ``_ORJSON_MAX_LINE``, orjson reads every non-blank line and every rule
+    holds, else None.
 
     orjson reads an integer beyond 64 bits as a float, whose magnitude is
     then 2**63 or more. So a float id, or a float answer that large, is
@@ -90,8 +96,11 @@ def _gold_columns(text: str) -> list[QAItem] | None:
     """
     import orjson
 
+    lines = text.split("\n")
+    if max(map(len, lines)) > _ORJSON_MAX_LINE:
+        return None
     try:
-        values = list(map(orjson.loads, filter(str.strip, text.split("\n"))))
+        values = list(map(orjson.loads, filter(str.strip, lines)))
         # a line that is not an object raises TypeError, a missing key KeyError
         ids, questions, answers = (list(map(itemgetter(key), values)) for key in _GOLD_KEYS)
     except (orjson.JSONDecodeError, TypeError, KeyError):

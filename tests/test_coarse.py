@@ -8,6 +8,7 @@ float64 row, which ``score_all`` without ``select`` gives, bit for bit.
 import json
 import logging
 import os
+import re
 import sys
 import threading
 
@@ -449,6 +450,54 @@ def test_ask_verbose_shows_which_path_each_load_took(tmp_path, caplog):
                and " steps recomputed (map " in line for line in lines[2:])
 
 
+def test_no_matrix_pass_starts_a_thread_at_concurrency_1(tmp_path, caplog, monkeypatch):
+    """Every pass over a corpus matrix runs on the calling thread: a cold
+    ask that builds and writes the files, a warm ask on the coarse path, an
+    eval that loads the float64 files and a tie-heavy ask whose near-ties
+    recompute steps start no thread."""
+    corpus_path, gold_path = tmp_path / "corpus.jsonl", tmp_path / "gold.jsonl"
+    corpus_path.write_text("".join(json.dumps({"id": f"c{i}", "text": text(i), "kind": kind(i)})
+                                   + "\n" for i in range(ROWS)))
+    gold_path.write_text(json.dumps({"id": "q0", "question": QUESTION, "answer": "3"}) + "\n")
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "embedding": {"models": ["det-a", "det-b"], "dimension": 8},
+        "eval": {"pipelines": ["vanilla", "confident"], "combination_sizes": [2]},
+        "corpus": [{"path": str(corpus_path), "kind": "qa"}], "gold_path": str(gold_path),
+        "output_dir": str(tmp_path / "out"), "seed": 7, "concurrency": 1}))
+    models = ["det-a", "det-b"]
+    ties = confident_config(models, quotas={"qa": 3, "textbook": 1}, planted=tie_heavy(12))
+    confident(make_corpus(tmp_path / "ties"), ties, models)  # builds the tie-heavy store
+    started = []
+    start = threading.Thread.start
+
+    def spy(thread):
+        started.append(thread.name)
+        return start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    caplog.set_level(logging.DEBUG, logger="multirag.corpus")
+
+    def ask():
+        assert main(["ask", QUESTION, "--config", str(cfg)]) == 0
+
+    def evaluate():
+        assert main(["eval", "--config", str(cfg)]) == 0
+
+    def tie_heavy_ask():
+        confident(make_corpus(tmp_path / "ties"), ties, models)
+
+    runs = [("cold ask", ask, "built the "), ("warm ask", ask, "coarse path"),
+            ("eval", evaluate, "loaded the "), ("tie-heavy ask", tie_heavy_ask, "coarse path")]
+    for name, run, path_taken in runs:
+        caplog.clear()
+        run()
+        assert path_taken in caplog.text, name
+        assert started == [], name
+    recomputed = [int(n) for n in re.findall(r"(\d+) steps recomputed", caplog.text)]
+    assert len(recomputed) == len(models) and sum(recomputed) > 0
+
+
 def confident_config(models, concurrency=1, quotas=None, planted=None, dim=DIM,
                      provider=Planted):
     from multirag.config import default_template_text
@@ -499,18 +548,20 @@ def test_a_built_matrix_is_dropped_and_then_served_from_its_files(tmp_path, capl
     assert provider.built == 2 and "float32 copy rejected" in caplog.text
     assert slot.block is None and slot.coarse is None
     maps, passes = [], []
-    map_exact, two_thread_pass = corpus_module._map_exact, corpus_module._two_thread_pass
+    map_exact, row_steps = corpus_module._map_exact, corpus_module._row_steps
+    every_step = corpus_module._step_bounds(ROWS)
 
     def counting_map(*args):
         maps.append(args)
         return map_exact(*args)
 
     def counting_pass(block, vector, scores, squares, bounds):
-        passes.append((block.dtype.str, squares is None))
-        return two_thread_pass(block, vector, scores, squares, bounds)
+        if bounds == every_step:  # a scan, not a step _resolve recomputes
+            passes.append((block.dtype.str, squares is None))
+        return row_steps(block, vector, scores, squares, bounds)
 
     monkeypatch.setattr(corpus_module, "_map_exact", counting_map)
-    monkeypatch.setattr(corpus_module, "_two_thread_pass", counting_pass)
+    monkeypatch.setattr(corpus_module, "_row_steps", counting_pass)
     held = score_all(provider, QUESTION, corpus, select=select)
     # the warm coarse path: both files mapped, the copy's norms checked in its scan
     assert len(maps) == 2 and passes == [("<f4", False)]

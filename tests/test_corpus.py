@@ -5,14 +5,13 @@ import os
 import subprocess
 import sys
 import threading
-import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from multirag import corpus as corpus_module
-from multirag.corpus import NORM_ROWS, STEP_ROWS, Chunk, ChunkIndex, Corpus, _unit_rows
+from multirag.corpus import STEP_ROWS, Chunk, ChunkIndex, Corpus, _unit_rows
 from multirag.embedding import DeterministicProvider, RemoteProvider
 from multirag.errors import (
     DimensionMismatchError,
@@ -442,7 +441,8 @@ def mapped(block: np.ndarray):
     return block
 
 
-@pytest.mark.parametrize("rows", [1, NORM_ROWS - 1, NORM_ROWS, 2 * NORM_ROWS + 3])
+@pytest.mark.parametrize("rows", [1, STEP_ROWS // 2 - 1, STEP_ROWS // 2, STEP_ROWS - 1,
+                                  STEP_ROWS, STEP_ROWS + 3, 2 * STEP_ROWS + 3])
 def test_unit_rows_in_steps_equals_one_norm_over_the_block(rows):
     block = np.random.default_rng(rows).standard_normal((rows, 48)) * 7.5
     want = block / np.linalg.norm(block, axis=1, keepdims=True)
@@ -514,18 +514,19 @@ class TestMatrixStore:
         slot = index._matrices[provider]
         assert slot.block is None and slot.coarse is None  # written, so not held
         maps, passes = [], []
-        map_exact, two_thread_pass = corpus_module._map_exact, corpus_module._two_thread_pass
+        map_exact, row_steps = corpus_module._map_exact, corpus_module._row_steps
 
         def counting_map(*args):
             maps.append(args)
             return map_exact(*args)
 
-        def counting_pass(*args):
-            passes.append(args)
-            return two_thread_pass(*args)
+        def counting_pass(block, vector, scores, squares, bounds):
+            if squares is not None:  # the load's check, not a product of the held matrix
+                passes.append(bounds)
+            return row_steps(block, vector, scores, squares, bounds)
 
         monkeypatch.setattr(corpus_module, "_map_exact", counting_map)
-        monkeypatch.setattr(corpus_module, "_two_thread_pass", counting_pass)
+        monkeypatch.setattr(corpus_module, "_row_steps", counting_pass)
         later = [run() for _ in range(3)]
         assert len(maps) == 1 and len(passes) == 1  # mapped and checked once, then held
         assert mapped(slot.block) is not None
@@ -721,7 +722,7 @@ def unit_vector(dim: int, seed: int = 0) -> np.ndarray:
 
 
 QUESTION = "How many coins does Ann have?"
-STEPPED_ROWS = 1537  # three steps of a product: the caller takes two, the helper one
+STEPPED_ROWS = 1537  # three steps of a product, the last taking the remainder
 
 
 def stepped_index(store, rows=STEPPED_ROWS) -> ChunkIndex:
@@ -730,14 +731,9 @@ def stepped_index(store, rows=STEPPED_ROWS) -> ChunkIndex:
     return ChunkIndex(ids, texts=texts, store=store)
 
 
-def on_helper() -> bool:
-    return threading.current_thread() is not threading.main_thread()
-
-
 class TestOverlappedLoad:
     """``ChunkIndex.product``: a stored matrix's first product and its
-    unit-norm check are one pass over the file, its steps split between the
-    calling thread and one helper thread."""
+    unit-norm check are one pass over the file, on the calling thread."""
 
     @pytest.mark.parametrize("rows, dim", [(1, 3), (5, 32), (257, 384), (5003, 32)])
     def test_loaded_product_equals_built_product_bit_for_bit(self, tmp_path, caplog,
@@ -787,21 +783,40 @@ class TestOverlappedLoad:
         assert np.array_equal(index.product(Counting(), vector),
                               index.matrix(Counting()) @ vector)
 
-    def test_the_caller_and_one_helper_each_take_half_the_steps(self, tmp_path,
-                                                                monkeypatch):
+    def test_the_calling_thread_takes_every_step_in_one_pass(self, tmp_path, monkeypatch):
         stepped_index(tmp_path).matrix(Counting())
         calls = []
         steps = corpus_module._row_steps
 
         def recording(block, vector, scores, squares, bounds):
-            calls.append((on_helper(), bounds))
+            calls.append((threading.current_thread(), bounds))
             steps(block, vector, scores, squares, bounds)
 
         monkeypatch.setattr(corpus_module, "_row_steps", recording)
         stepped_index(tmp_path).product(Counting(), unit_vector(8))
-        assert sorted(calls) == [(False, [0, 512, 1024]), (True, [1024, STEPPED_ROWS])]
+        assert calls == [(threading.current_thread(), [0, 512, 1024, STEPPED_ROWS])]
 
-    @pytest.mark.parametrize("row", [100, STEPPED_ROWS - 200], ids=["caller", "helper"])
+    def test_an_error_in_the_pass_leaves_the_slot_empty(self, tmp_path, caplog, monkeypatch):
+        built = stepped_index(tmp_path).matrix(Counting())
+
+        def failing(block, vector, scores, squares, bounds):
+            raise RuntimeError("the pass broke")
+
+        monkeypatch.setattr(corpus_module, "_row_steps", failing)
+        index = stepped_index(tmp_path)
+        provider = Counting()
+        vector = unit_vector(8)
+        with pytest.raises(RuntimeError, match="the pass broke"):
+            index.product(provider, vector)
+        assert index._matrices[provider].block is None
+        monkeypatch.undo()
+        # the slot stayed empty, so the next use loads the file again
+        caplog.set_level(logging.DEBUG, logger="multirag.corpus")
+        assert np.array_equal(index.product(provider, vector), built @ vector)
+        assert f"loaded the {STEPPED_ROWS} x 8 corpus matrix of 'det-a'" in caplog.text
+        assert provider.batches == 0
+
+    @pytest.mark.parametrize("row", [100, STEPPED_ROWS - 200], ids=["first", "last"])
     @pytest.mark.parametrize("corrupt, problem", [
         ("_nan", "non-finite entries"), ("_not_unit", "rows that are not unit-norm")])
     def test_a_bad_row_in_either_half_is_rebuilt(self, tmp_path, caplog, row, corrupt,
@@ -885,75 +900,6 @@ class TestOverlappedLoad:
                                                         stored_corpus(None)).values)
         assert "rows that are not unit-norm" in caplog.text
         assert np.load(path, allow_pickle=False).tobytes() == built.tobytes()
-
-    def test_a_slow_check_is_waited_for(self, tmp_path, caplog, monkeypatch):
-        built = stepped_index(tmp_path).matrix(Counting())
-        steps = corpus_module._row_steps
-
-        def slow(block, vector, scores, squares, bounds):
-            steps(block, vector, scores, squares, bounds)
-            if on_helper():
-                time.sleep(0.05)
-                squares[bounds[-1] - 1] = 2.0  # the helper's last row is not unit-norm
-
-        monkeypatch.setattr(corpus_module, "_row_steps", slow)
-        caplog.set_level(logging.WARNING, logger="multirag.corpus")
-        provider = Counting()
-        vector = unit_vector(8)
-        scores = stepped_index(tmp_path).product(provider, vector)
-        assert provider.batches > 0 and "rejected the stored corpus matrix" in caplog.text
-        assert np.array_equal(scores, built @ vector)
-
-    def test_an_error_in_the_check_is_raised_once_its_thread_ends(self, tmp_path, caplog,
-                                                                 monkeypatch):
-        built = stepped_index(tmp_path).matrix(Counting())
-        steps, finished = corpus_module._row_steps, []
-
-        def failing(block, vector, scores, squares, bounds):
-            if on_helper():
-                time.sleep(0.05)
-                raise RuntimeError("the check broke")
-            steps(block, vector, scores, squares, bounds)
-            finished.append(bounds)
-
-        monkeypatch.setattr(corpus_module, "_row_steps", failing)
-        before = set(threading.enumerate())
-        index = stepped_index(tmp_path)
-        provider = Counting()
-        vector = unit_vector(8)
-        with pytest.raises(RuntimeError, match="the check broke"):
-            index.product(provider, vector)
-        assert set(threading.enumerate()) == before
-        assert finished == [[0, 512, 1024]]  # the caller's half ran to its end
-        monkeypatch.undo()
-        # the slot stayed empty, so the next use loads the file again
-        caplog.set_level(logging.DEBUG, logger="multirag.corpus")
-        assert np.array_equal(index.product(provider, vector), built @ vector)
-        assert f"loaded the {STEPPED_ROWS} x 8 corpus matrix of 'det-a'" in caplog.text
-        assert provider.batches == 0
-
-    def test_an_error_on_the_caller_waits_for_the_helper(self, tmp_path, monkeypatch):
-        stepped_index(tmp_path).matrix(Counting())
-        steps, finished = corpus_module._row_steps, []
-
-        def failing(block, vector, scores, squares, bounds):
-            if not on_helper():
-                raise RuntimeError("the caller's half broke")
-            time.sleep(0.05)
-            steps(block, vector, scores, squares, bounds)
-            finished.append(bounds)
-
-        monkeypatch.setattr(corpus_module, "_row_steps", failing)
-        before = set(threading.enumerate())
-        index = stepped_index(tmp_path)
-        with pytest.raises(RuntimeError, match="the caller's half broke"):
-            index.product(Counting(), unit_vector(8))
-        assert set(threading.enumerate()) == before
-        assert finished == [[1024, STEPPED_ROWS]]
-        monkeypatch.undo()
-        provider = Counting()
-        index.product(provider, unit_vector(8))
-        assert provider.batches == 0
 
     def test_a_product_compares_the_header_and_parses_only_another_form(self, tmp_path,
                                                                       monkeypatch):

@@ -204,6 +204,20 @@ class TestCheckedBatch:
         assert provider._checked(batch) is batch
         assert provider._checked(batch.astype(np.float32)).dtype == np.float64
 
+    def test_an_array_batch_is_checked_by_its_shape_not_row_by_row(self):
+        class NoRows(np.ndarray):
+            def __iter__(self):
+                raise AssertionError("the batch was walked row by row")
+
+        provider = DeterministicProvider("det-a", dim=3)
+        batch = np.array([[1.0, 2.0, 2.0], [0.0, 3.0, 4.0]])
+        assert provider._checked(batch.view(NoRows)).tolist() == batch.tolist()
+        for bad in (np.ones(3), np.ones((2, 0)), np.ones((2, 3, 1))):
+            with pytest.raises(ValueError, match="non-empty 1-D vector"):
+                provider._checked(bad)
+        with pytest.raises(DimensionMismatchError, match=r"mixed dimensions \[3, 4\]"):
+            provider._checked(np.ones((2, 4)))
+
 
 class TestCosine:
     """Properties of ``kernels.cosine_scores``, the reference scorer for retrieval."""

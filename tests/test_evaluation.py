@@ -1,8 +1,11 @@
 import csv
 import json
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -808,6 +811,37 @@ class TestGoldLoader:
         path.write_text(json.dumps({"id": "q1", "question": question, "answer": "3"},
                                    ensure_ascii=False) + "\n", encoding="utf-8")
         assert load_gold(path) == [QAItem(id="q1", question=question, answer="3")]
+
+    def test_a_deeply_nested_line_is_named_not_fatal(self, tmp_path):
+        # run in a child process: a decoder with no depth limit would kill it, not raise
+        path = tmp_path / "gold.jsonl"
+        depth = 300_000
+        path.write_text(json.dumps({"id": "q1", "question": "?", "answer": "3"}) + "\n"
+                        + '{"id": "q2", "question": "?", "answer": ' + "[" * depth
+                        + "]" * depth + "}\n")
+        script = ("import sys\n"
+                  "from multirag.errors import MalformedLineError\n"
+                  "from multirag.evaluation import load_gold\n"
+                  "try:\n"
+                  "    load_gold(sys.argv[1])\n"
+                  "except MalformedLineError as e:\n"
+                  "    print(e)\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run([sys.executable, "-c", script, str(path)], timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, (proc.returncode, proc.stderr[-2000:])
+        assert proc.stdout.startswith(f"{path}:2: invalid JSON: maximum recursion depth")
+
+    def test_long_lines_are_read_by_the_stdlib(self, tmp_path, monkeypatch):
+        from multirag import evaluation
+        path = tmp_path / "gold.jsonl"
+        question = "How many? " * 1000
+        path.write_text(json.dumps({"id": "q1", "question": question, "answer": 3}) + "\n")
+        assert _gold_columns(path.read_text()) is None
+        assert load_gold(path) == [QAItem(id="q1", question=question, answer="3")]
+        monkeypatch.setattr(evaluation, "_ORJSON_MAX_LINE", len(path.read_text()))
+        assert _gold_columns(path.read_text()) == load_gold(path)
 
     def test_missing_file_is_unreadable(self, tmp_path):
         with pytest.raises(MalformedLineError) as exc:
