@@ -53,7 +53,7 @@ UNIT_NORM_TOL = 1e-9  # a stored row's norm may differ from 1 by this much
 # rows per step of every pass over a corpus matrix: its normalisation, its
 # products and a stored matrix's check, the writer and _resolve's recomputed
 # steps. The product's steps fix every score's bits whatever BLAS threading
-# each step gets (see _step_bounds), so this size is part of a stored score.
+# each step gets (see _step_bounds); another size could move a score's last bit.
 STEP_ROWS = 512
 # a stored matrix of fewer steps is never read through its float32 copy: below
 # this the coarse path's fixed costs (a second file header, the shortlist, the

@@ -71,9 +71,9 @@ def load_gold(path: str | Path) -> list[QAItem]:
     unique: the report keys each question by its id.
 
     orjson decodes the lines and the rules are checked column by column
-    (``_gold_columns``). A file with a line orjson rejects, may read
-    differently from the stdlib or is not given (a long one), or with any
-    broken rule, is read again line by line through the stdlib
+    (``_gold_columns``). A file with a line orjson rejects or may read
+    differently from the stdlib, a line too long to hand to orjson, or any
+    broken rule is read again line by line through the stdlib
     (``_gold_lines``), which names the first error.
     """
     path = Path(path)
