@@ -429,7 +429,9 @@ def test_threads_share_one_warm_index(tmp_path):
     assert errors == [] and len(results) == 30 and all(results)
 
 
-def test_ask_verbose_shows_which_path_each_load_took(tmp_path, caplog):
+def cli_config(tmp_path, **fields):
+    """A CLI config of det-a and det-b at dimension 8 over ROWS chunks
+    written to a corpus file, with ``fields`` added."""
     corpus_path = tmp_path / "corpus.jsonl"
     corpus_path.write_text("".join(json.dumps({"id": f"c{i}", "text": text(i), "kind": kind(i)})
                                    + "\n" for i in range(ROWS)))
@@ -438,7 +440,12 @@ def test_ask_verbose_shows_which_path_each_load_took(tmp_path, caplog):
         "embedding": {"models": ["det-a", "det-b"], "dimension": 8},
         "eval": {"combination_sizes": [2]},
         "corpus": [{"path": str(corpus_path), "kind": "qa"}],
-        "output_dir": str(tmp_path / "out"), "seed": 7}))
+        "output_dir": str(tmp_path / "out"), "seed": 7, **fields}))
+    return cfg
+
+
+def test_ask_verbose_shows_which_path_each_load_took(tmp_path, caplog):
+    cfg = cli_config(tmp_path)
     caplog.set_level(logging.DEBUG, logger="multirag.corpus")
     for _ in range(2):
         assert main(["ask", QUESTION, "--config", str(cfg), "--verbose"]) == 0
@@ -455,16 +462,10 @@ def test_no_matrix_pass_starts_a_thread_at_concurrency_1(tmp_path, caplog, monke
     ask that builds and writes the files, a warm ask on the coarse path, an
     eval that loads the float64 files and a tie-heavy ask whose near-ties
     recompute steps start no thread."""
-    corpus_path, gold_path = tmp_path / "corpus.jsonl", tmp_path / "gold.jsonl"
-    corpus_path.write_text("".join(json.dumps({"id": f"c{i}", "text": text(i), "kind": kind(i)})
-                                   + "\n" for i in range(ROWS)))
+    gold_path = tmp_path / "gold.jsonl"
     gold_path.write_text(json.dumps({"id": "q0", "question": QUESTION, "answer": "3"}) + "\n")
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({
-        "embedding": {"models": ["det-a", "det-b"], "dimension": 8},
-        "eval": {"pipelines": ["vanilla", "confident"], "combination_sizes": [2]},
-        "corpus": [{"path": str(corpus_path), "kind": "qa"}], "gold_path": str(gold_path),
-        "output_dir": str(tmp_path / "out"), "seed": 7, "concurrency": 1}))
+    cfg = cli_config(tmp_path, gold_path=str(gold_path), concurrency=1,
+                     eval={"pipelines": ["vanilla", "confident"], "combination_sizes": [2]})
     models = ["det-a", "det-b"]
     ties = confident_config(models, quotas={"qa": 3, "textbook": 1}, planted=tie_heavy(12))
     confident(make_corpus(tmp_path / "ties"), ties, models)  # builds the tie-heavy store
