@@ -19,6 +19,7 @@ a greater oriented score always means a more confident answer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,7 @@ def orientation(metric: str) -> str:
 
 def orient(metric: str, raw: float) -> ConfidenceScore:
     _check_metric(metric)
-    if not np.isfinite(raw):
+    if not math.isfinite(raw):
         raise ValueError(f"non-finite raw score for {metric}: {raw}")
     oriented = -raw if metric in LOWER_IS_CONFIDENT else raw
     return ConfidenceScore(metric=metric, raw=raw, oriented=oriented)
@@ -57,19 +58,60 @@ def _check_metric(metric: str) -> None:
 
 
 def raw_scores(steps: StepBlock | list[TokenStep]) -> dict[str, float]:
-    """The five raw metrics of one completion, keyed by metric name.
+    """The five raw metrics of one completion, keyed by metric name: the
+    batch of one of ``stacked_raw_scores``."""
+    return stacked_raw_scores([steps])[0]
 
-    Reads the block's truncated-distribution arrays (a list of steps is
-    packed into a block first): listed probabilities ``probs`` valid up
-    to ``lens``, the unlisted mass ``tails`` and the vocabulary sizes
-    ``vocabs`` (see ``StepBlock``). Each step's tail mass is spread
-    uniformly over its ``vocabs[i] - lens[i]`` unlisted tokens (``u``
-    per token).
+
+# the arrays of a StepBlock that the metrics read, in _row_metrics' order
+_ROW_ARRAYS = ("prob", "probs", "lens", "tails", "vocabs")
+
+
+def stacked_raw_scores(blocks: list[StepBlock | list[TokenStep]]) -> list[dict[str, float]]:
+    """The five raw metrics of each completion in ``blocks``, in one pass.
+
+    Blocks of equal row width (``probs.shape[1]``) are stacked, each
+    per-step quantity is computed once over a group's rows, and each
+    completion's means are ``.sum() / n`` over its own contiguous rows.
+    So every completion gets the bits ``raw_scores`` gives it alone: a
+    row's sum depends on the row's width, so rows of other widths are not
+    padded to join a group, and a lone block is used without a copy. A
+    list of steps is packed into a block first.
     """
-    block = steps if isinstance(steps, StepBlock) else StepBlock.from_steps(steps)
-    if not len(block):
-        raise ValueError("confidence metrics require at least one step")
-    probs, lens, tails, vocabs = block.probs, block.lens, block.tails, block.vocabs
+    blocks = [b if isinstance(b, StepBlock) else StepBlock.from_steps(b) for b in blocks]
+    by_width: dict[int, list[int]] = {}
+    for i, block in enumerate(blocks):
+        if not len(block):
+            raise ValueError("confidence metrics require at least one step")
+        by_width.setdefault(block.probs.shape[1], []).append(i)
+    scores: list[dict[str, float]] = [{} for _ in blocks]
+    for members in by_width.values():
+        group = [blocks[i] for i in members]
+        rows = np.stack(_row_metrics(
+            *(_stack([getattr(b, name) for b in group]) for name in _ROW_ARRAYS)))
+        end = 0
+        for i, block in zip(members, group):
+            n = len(block)
+            start, end = end, end + n
+            # each metric's row slice is summed on its own, as x.sum() would;
+            # x.sum() / n has the bits of x.mean(), without its call overhead
+            scores[i] = dict(zip(METRICS, (rows[:, start:end].sum(axis=1) / n).tolist()))
+    return scores
+
+
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _row_metrics(prob, probs, lens, tails, vocabs) -> tuple[np.ndarray, ...]:
+    """Each step's term of every metric, in ``METRICS`` order.
+
+    Reads truncated-distribution rows (see ``StepBlock``): listed
+    probabilities ``probs`` valid up to ``lens``, the unlisted mass
+    ``tails`` and the vocabulary sizes ``vocabs``. Each step's tail mass
+    is spread uniformly over its ``vocabs[i] - lens[i]`` unlisted tokens
+    (``u`` per token).
+    """
     kmax = probs.shape[1]
     mask = np.arange(kmax)[None, :] < lens[:, None]
     p = np.where(mask, probs, 0.0)
@@ -84,14 +126,7 @@ def raw_scores(steps: StepBlock | list[TokenStep]) -> dict[str, float]:
     listed = np.where(mask, np.log(np.maximum(probs, EPSILON) * v[:, None]), 0.0).sum(axis=1)
     tail = unlisted * np.log(v * np.maximum(u, EPSILON))
     certainties = -(listed + np.where(unlisted > 0, tail, 0.0)) / v
-    n = len(block)  # x.sum() / n has the bits of x.mean(), without its call overhead
-    return {
-        "avg-log-p": float(np.log(np.maximum(block.prob, EPSILON)).sum() / n),
-        "self-certainty": float(certainties.sum() / n),
-        "gini": float(ginis.sum() / n),
-        "entropy": float(ents.sum() / n),
-        "dp": float(np.exp(ents).sum() / n),
-    }
+    return np.log(np.maximum(prob, EPSILON)), certainties, ginis, ents, np.exp(ents)
 
 
 def avg_log_p(steps: StepBlock | list[TokenStep]) -> float:
@@ -116,9 +151,14 @@ def self_certainty(steps: StepBlock | list[TokenStep]) -> float:
 
 def score_record(record: GenerationRecord) -> GenerationRecord:
     """Fill record.confidence with all five metrics (raw and oriented)."""
-    raws = raw_scores(record.steps)
-    record.confidence = {m: orient(m, raws[m]) for m in METRICS}
-    return record
+    return score_records([record])[0]
+
+
+def score_records(records: list[GenerationRecord]) -> list[GenerationRecord]:
+    """``score_record`` of each record, in one ``stacked_raw_scores`` pass."""
+    for record, raws in zip(records, stacked_raw_scores([r.steps for r in records])):
+        record.confidence = {m: orient(m, raws[m]) for m in METRICS}
+    return records
 
 
 def select_most_confident(records: list[GenerationRecord],

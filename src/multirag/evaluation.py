@@ -12,7 +12,9 @@ each (question, model) similarity row is scored once, with its cached
 ranking, per-kind selection and Z-scores, and each model's vanilla answer
 is generated once. So every confident run picks among the question's
 vanilla records without generating again, through the same
-``pipeline.run_confident`` that ``ask`` runs.
+``pipeline.run_confident`` that ``ask`` runs. The memo collects the
+question's answers unscored, and the first confident run, or the end of
+the question, scores them in one stacked pass, before any score is read.
 """
 
 from __future__ import annotations
@@ -207,16 +209,22 @@ def run_sweep(corpus: Corpus, items: list[QAItem], config: PipelineConfig,
 
     The flows on one question share one memo (see ``pipeline.run_vanilla``),
     so each model's similarity row is scored, and its vanilla answer
-    generated, once per question.
+    generated, once per question. The memo is a ``pipeline.collecting_memo``:
+    the question's answers, the bare LLM's too, are scored together, before
+    the first confident run reads a score and before the question's
+    results are returned.
     """
     combos = [list(c) for c in model_combinations(config.model_ids, sizes)]
     bare_config = replace(config, k=0)
 
     def one_question(item: QAItem) -> list[QuestionResult]:
         out: list[QuestionResult] = []
-        memo: dict = {}
+        unscored: list = []
+        memo = pipeline.collecting_memo(unscored)
         if include_vanilla_llm:
-            res = pipeline.run_vanilla(item.id, item.question, "", corpus, bare_config)
+            # a memo of its own, since its config differs, collecting into the same list
+            res = pipeline.run_vanilla(item.id, item.question, "", corpus, bare_config,
+                                       pipeline.collecting_memo(unscored))
             res.pipeline = "vanilla-llm"
             out.append(res)
         if "vanilla" in pipelines or "confident" in pipelines:
@@ -231,6 +239,7 @@ def run_sweep(corpus: Corpus, items: list[QAItem], config: PipelineConfig,
             if name in pipelines:
                 out.extend(flow(item.id, item.question, combo, corpus, config, memo)
                            for combo in combos)
+        pipeline.score_collected(memo)
         return out
 
     per_question = pipeline.map_concurrent(one_question, items, config.concurrency)
@@ -276,10 +285,21 @@ def aggregate(results: list[QuestionResult], gold: list[QAItem]) -> AccuracyRepo
 
     Every cell is computed from the per-question detail: each result is
     graded once into its question's entry, and each accuracy is the mean of
-    that cell's ``correct`` flags over the questions that hold it.
+    that cell's ``correct`` flags over the questions that hold it. A
+    completion is graded once per question, however many cells it wins.
     """
     by_id = {item.id: item for item in gold}
     detail: dict[str, dict] = {}
+    grades: dict[tuple[str, str], tuple[str | None, bool]] = {}
+
+    def graded(q: dict, completion: str) -> tuple[str | None, bool]:
+        """(answer value, correct) of ``completion`` to the question of ``q``."""
+        key = (q["id"], completion)
+        if key not in grades:
+            value = extract_answer(completion)
+            grades[key] = value, is_correct(value, q["gold"])
+        return grades[key]
+
     for res in results:
         item = by_id.get(res.question_id)
         if item is None:
@@ -289,10 +309,10 @@ def aggregate(results: list[QuestionResult], gold: list[QAItem]) -> AccuracyRepo
             "vanilla_llm": None, "vanilla": {}, "mixture": {}, "confident": {}})
         if res.pipeline == "confident":
             q["confident"][_combo_tag(res)] = {
-                metric: _winner_detail(res.records, metric, item)
+                metric: _winner_detail(res.records, metric, q, graded)
                 for metric in confidence.METRICS}
             continue
-        cell = _record_detail(res.records[0], grade(res.answer, item))
+        cell = _record_detail(res.records[0], *graded(q, res.answer))
         if res.pipeline == "vanilla-llm":
             q["vanilla_llm"] = cell
         elif res.pipeline == "vanilla":
@@ -335,9 +355,9 @@ def _accuracy(cells) -> dict[str, float]:
     return {key: _mean(values) for key, values in flags.items()}
 
 
-def _record_detail(record: GenerationRecord, correct: bool) -> dict:
+def _record_detail(record: GenerationRecord, answer_value: str | None, correct: bool) -> dict:
     return {
-        "answer_value": extract_answer(record.completion),
+        "answer_value": answer_value,
         "correct": correct,
         "confidence": {
             m: {"raw": s.raw, "oriented": s.oriented}
@@ -346,13 +366,14 @@ def _record_detail(record: GenerationRecord, correct: bool) -> dict:
     }
 
 
-def _winner_detail(records: list[GenerationRecord], metric: str, item: QAItem) -> dict:
+def _winner_detail(records: list[GenerationRecord], metric: str, q: dict, graded) -> dict:
     winner, index = confidence.select_most_confident(records, metric)
+    answer_value, correct = graded(q, winner.completion)
     return {
         "winner_index": index,
         "winner_model": winner.embedding_model,
-        "answer_value": extract_answer(winner.completion),
-        "correct": grade(winner.completion, item),
+        "answer_value": answer_value,
+        "correct": correct,
     }
 
 

@@ -84,6 +84,30 @@ def map_concurrent(fn, items: list, concurrency: int) -> list:
     return [fn(x) for x in items]
 
 
+# the memo entry holding the answers a collecting memo has not scored yet
+_UNSCORED = ("unscored",)
+
+
+def collecting_memo(unscored: list) -> dict:
+    """A memo (see ``run_vanilla``) whose flows add each answer they
+    generate to ``unscored`` instead of scoring it at once.
+
+    ``score_collected`` scores the collected answers together;
+    ``run_confident`` calls it before it reads a score. Memos for flows
+    under different configs may share one list.
+    """
+    return {_UNSCORED: unscored}
+
+
+def score_collected(memo: dict | None) -> None:
+    """Score, in one stacked pass, every answer ``memo`` has collected and
+    not yet scored; a memo that collects nothing is left as it is."""
+    unscored = memo.get(_UNSCORED) if memo is not None else None
+    if unscored:
+        _stage("confidence", confidence.score_records, unscored)
+        unscored.clear()
+
+
 def _row(question_id: str, question: str, model_id: str, corpus: Corpus,
          config: PipelineConfig, memo: dict | None, select=None):
     """The question's similarity row for one model, scored once per ``memo``.
@@ -110,6 +134,7 @@ def run_vanilla(question_id: str, question: str, model_id: str,
     ``memo`` is one question's scratch dict, shared by the flows run on
     that question under one config: it keeps each model's similarity row
     and vanilla result, so each is computed once however many flows ask.
+    The answer is scored at once, unless ``memo`` is a ``collecting_memo``.
     """
     if memo is not None and ("vanilla", model_id) in memo:
         return memo[("vanilla", model_id)]
@@ -126,7 +151,8 @@ def run_vanilla(question_id: str, question: str, model_id: str,
             positions = row.top(config.k)
     # the row caches its selection: read the chunks by position, not by id
     references = [corpus.chunk_at(p) for p in positions]
-    result = _answer(question_id, question, "vanilla", model_id, ids, references, config)
+    result = _answer(question_id, question, "vanilla", model_id, ids, references, config,
+                     memo)
     if memo is not None:
         memo[("vanilla", model_id)] = result
     return result
@@ -153,7 +179,7 @@ def run_mixture(question_id: str, question: str, model_ids: list[str],
     else:
         ids = []
     references = [corpus.get(cid) for cid in ids]
-    return _answer(question_id, question, "mixture", combo, ids, references, config)
+    return _answer(question_id, question, "mixture", combo, ids, references, config, memo)
 
 
 def _reject_repeats(model_ids: list[str]) -> None:
@@ -166,9 +192,10 @@ def _reject_repeats(model_ids: list[str]) -> None:
 
 
 def _answer(question_id: str, question: str, pipeline: str, tag: str, ids: list[str],
-            references: list[Chunk], config: PipelineConfig) -> QuestionResult:
+            references: list[Chunk], config: PipelineConfig,
+            memo: dict | None) -> QuestionResult:
     """Prompt with ``references``, the retrieved chunks of ``ids``, generate
-    once, score the answer.
+    once, score the answer (or leave it to a collecting ``memo``).
 
     ``tag`` names the run (a model id for vanilla, the joined subset for
     mixture): it keys the decode seed, the record and ``retrieved``.
@@ -180,7 +207,11 @@ def _answer(question_id: str, question: str, pipeline: str, tag: str, ids: list[
     record = _stage("generation", generate, config.backend, prompt, params,
                     question_id=question_id, combination=tag,
                     embedding_model=tag)
-    _stage("confidence", confidence.score_record, record)
+    unscored = memo.get(_UNSCORED) if memo is not None else None
+    if unscored is None:
+        _stage("confidence", confidence.score_record, record)
+    else:
+        unscored.append(record)
     return QuestionResult(
         question_id=question_id, pipeline=pipeline, answer=record.completion,
         winner_index=None, records=[record], retrieved={tag: ids})
@@ -194,7 +225,8 @@ def run_confident(question_id: str, question: str, model_ids: list[str],
     A single failed generation is dropped (with a log line) instead of
     sinking the whole question; at least one run must survive. Runs found
     in ``memo`` (see ``run_vanilla``) are reused, and threads start only
-    when more than one run is left to do.
+    when more than one run is left to do. A collecting ``memo``'s answers
+    are scored before the winner is picked.
     """
     if not model_ids:
         raise ValueError("confident requires at least one model")
@@ -215,6 +247,7 @@ def run_confident(question_id: str, question: str, model_ids: list[str],
     if not survivors:
         raise StageError("confident", outcomes[0])
 
+    score_collected(memo)
     records = [r.records[0] for _, r in survivors]
     winner, index = confidence.select_most_confident(records, config.metric)
     return QuestionResult(

@@ -12,6 +12,15 @@ from .errors import ConfigError, MultiragError, TransportError
 
 log = logging.getLogger(__name__)
 
+# the most brackets a reply body handed to orjson may hold. orjson 3.8 has no
+# depth limit: with an 8 MB stack, on the main thread or a worker, it
+# overflows the stack and kills the process at about 52 000 nested objects
+# or 131 000 nested arrays. A body nests no deeper than its count of "[" and
+# "{", and one with more goes to the stdlib, which stops at its recursion
+# limit. A 128-token chat reply with 20 alternatives per step holds about
+# 2 800 brackets, or 5 500 with each alternative's bytes.
+_ORJSON_MAX_BRACKETS = 20_000
+
 
 def bearer_headers(api_key_env: str | None) -> dict[str, str]:
     """Build auth headers from the environment variable named in config."""
@@ -43,12 +52,13 @@ def post_json(url: str, payload: dict, headers: dict[str, str],
 
     A reply body is read as UTF-8 JSON by ``orjson``, whatever charset
     the reply declares (RFC 8259), and an integer beyond 64 bits comes
-    back as a float. A body ``orjson`` rejects is decoded by requests'
+    back as a float. A body ``orjson`` rejects, or one holding more than
+    ``_ORJSON_MAX_BRACKETS`` brackets, is decoded by requests'
     ``Response.json()`` instead, which accepts ``NaN`` and ``Infinity``
-    literals, lone surrogate escapes, a BOM, UTF-16 and UTF-32, and
-    replaces invalid UTF-8. A body neither accepts is a ``TransportError``.
+    literals, lone surrogate escapes, a BOM, UTF-16 and UTF-32, replaces
+    invalid UTF-8 and refuses a body nested too deep. A body it refuses is
+    a ``TransportError``.
     """
-    import orjson  # imported here, as requests is, so that loading the package stays light
     import requests
 
     last: Exception | None = None
@@ -60,13 +70,7 @@ def post_json(url: str, payload: dict, headers: dict[str, str],
             last = e
         else:
             if resp.status_code < 400:
-                try:
-                    body = orjson.loads(resp.content)
-                except orjson.JSONDecodeError:
-                    try:
-                        body = resp.json()
-                    except (ValueError, RecursionError) as e:
-                        raise TransportError(f"{url}: response is not JSON: {e}") from e
+                body = _decode(resp, url)
                 if not isinstance(body, dict):
                     raise TransportError(f"{url}: response is not a JSON object")
                 return body
@@ -82,6 +86,24 @@ def post_json(url: str, payload: dict, headers: dict[str, str],
             if delay > 0:
                 time.sleep(delay)
     raise TransportError(f"{url}: giving up after {retries + 1} attempts: {last}")
+
+
+def _decode(resp, url: str):
+    """The JSON value of a reply body, read as ``post_json`` describes."""
+    import orjson  # imported here, as requests is, so that loading the package stays light
+
+    content = resp.content
+    # a body shorter than the bound cannot hold more brackets than it
+    if len(content) <= _ORJSON_MAX_BRACKETS or (
+            content.count(b"[") + content.count(b"{") <= _ORJSON_MAX_BRACKETS):
+        try:
+            return orjson.loads(content)
+        except orjson.JSONDecodeError:
+            pass
+    try:
+        return resp.json()
+    except (ValueError, RecursionError) as e:
+        raise TransportError(f"{url}: response is not JSON: {e}") from e
 
 
 def type_error(values: list, kinds: tuple[type, ...], where: str,

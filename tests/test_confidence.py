@@ -16,7 +16,7 @@ from multirag.confidence import (
     select_most_confident,
     self_certainty,
 )
-from multirag.generation import DecodeParams, GenerationRecord, MockBackend, generate
+from multirag.generation import DecodeParams, GenerationRecord, MockBackend, StepBlock, generate
 
 from oracles import METRIC_CASES, ORACLES, argmax_oracle, make_step
 
@@ -237,3 +237,108 @@ class TestScoreRecord:
         for fn in COMPUTE.values():
             with pytest.raises(ValueError):
                 fn([])
+
+
+def reference_raw_scores(block: StepBlock) -> dict[str, float]:
+    """One block's raw metrics with each mean a 1-D ``.sum() / n``: the
+    single-block formula whose bits the stacked pass must keep."""
+    probs, lens, tails, vocabs = block.probs, block.lens, block.tails, block.vocabs
+    mask = np.arange(probs.shape[1])[None, :] < lens[:, None]
+    p = np.where(mask, probs, 0.0)
+    unlisted = vocabs - lens
+    u = np.where(unlisted > 0, tails / np.maximum(unlisted, 1), 0.0)
+    terms = np.where(p > 0.0, -p * np.log(np.maximum(p, confidence.EPSILON)), 0.0)
+    ents = terms.sum(axis=1) + np.where(
+        u > 0.0, -u * np.log(np.maximum(u, confidence.EPSILON)) * unlisted, 0.0)
+    ginis = (p * p).sum(axis=1) + u * u * unlisted
+    v = vocabs.astype(np.float64)
+    listed = np.where(mask, np.log(np.maximum(probs, confidence.EPSILON) * v[:, None]),
+                      0.0).sum(axis=1)
+    tail = unlisted * np.log(v * np.maximum(u, confidence.EPSILON))
+    certainties = -(listed + np.where(unlisted > 0, tail, 0.0)) / v
+    n = len(block)
+    return {
+        "avg-log-p": float(np.log(np.maximum(block.prob, confidence.EPSILON)).sum() / n),
+        "self-certainty": float(certainties.sum() / n),
+        "gini": float(ginis.sum() / n),
+        "entropy": float(ents.sum() / n),
+        "dp": float(np.exp(ents).sum() / n),
+    }
+
+
+def wire_step(rng, one_hot=False, appended=False):
+    """A step as the chat client parses it: 20 listed alternatives out of a
+    32 000-token vocabulary, plus the chosen token when no entry matched."""
+    if one_hot:
+        return make_step([1.0] + [0.0] * 19, vocab=int(rng.choice([20, 32_000])))
+    full = np.sort(rng.dirichlet([0.3] * 40))[::-1]
+    listed = list(full[:21 if appended else 20])
+    return make_step(listed, tail=max(0.0, 1.0 - sum(listed)), vocab=32_000,
+                     chosen_index=20 if appended else 0)
+
+
+def stacking_blocks(rng) -> list[StepBlock]:
+    """Blocks of widths 34 (the mock), 20 and 21 (chat replies, 21 where a
+    chosen token was appended), 1 to 12 steps each, some all one-hot."""
+    blocks = [generate(MockBackend(seed=s), f"prompt {s}", DecodeParams(seed=s)).steps
+              for s in range(6)]
+    for n in range(1, 13):
+        blocks.append(StepBlock.from_steps([wire_step(rng) for _ in range(n)]))
+        blocks.append(StepBlock.from_steps(
+            [wire_step(rng, appended=i == n // 2) for i in range(n)]))
+        blocks.append(StepBlock.from_steps(
+            [wire_step(rng, one_hot=rng.random() < 0.5) for _ in range(n)]))
+    blocks.append(StepBlock.from_steps([wire_step(rng, one_hot=True) for _ in range(9)]))
+    order = rng.permutation(len(blocks))  # interleave the widths
+    return [blocks[i] for i in order]
+
+
+def hexes(scores: dict[str, float]) -> dict[str, str]:
+    return {m: v.hex() for m, v in scores.items()}  # tells -0.0 from 0.0
+
+
+class TestStackedScores:
+    def test_each_block_keeps_its_own_bits(self):
+        blocks = stacking_blocks(np.random.default_rng(33))
+        assert {b.probs.shape[1] for b in blocks} == {20, 21, 34}
+        assert {len(b) for b in blocks} >= set(range(1, 13))
+        assert any(float(b.tails.max()) > 0.0 for b in blocks)
+        stacked = confidence.stacked_raw_scores(blocks)
+        assert len(stacked) == len(blocks)
+        for block, got in zip(blocks, stacked):
+            assert got == confidence.raw_scores(block)
+            assert hexes(got) == hexes(confidence.raw_scores(block)) \
+                == hexes(reference_raw_scores(block))
+
+    def test_one_hot_entropy_keeps_its_sign(self):
+        block = StepBlock.from_steps([make_step([1.0, 0.0, 0.0])] * 3)
+        alone = confidence.raw_scores(block)
+        assert alone["entropy"].hex() == reference_raw_scores(block)["entropy"].hex()
+        other = StepBlock.from_steps([make_step([0.5, 0.5, 0.0])] * 2)
+        assert hexes(confidence.stacked_raw_scores([other, block])[1]) == hexes(alone)
+
+    def test_a_lone_block_is_not_copied(self, monkeypatch):
+        record = generate(MockBackend(seed=5), "p", DecodeParams(seed=5))
+        want = reference_raw_scores(record.steps)
+
+        def no_copy(*args, **kwargs):
+            raise AssertionError("a lone block was concatenated")
+
+        monkeypatch.setattr(confidence.np, "concatenate", no_copy)
+        assert confidence.raw_scores(record.steps) == want
+
+    def test_score_records_equals_score_record(self):
+        backend = MockBackend(seed=6)
+        records = [generate(backend, f"p{i}", DecodeParams(seed=i)) for i in range(5)]
+        records.append(GenerationRecord("q", "w", "w", "", "x",
+                                        [wire_step(np.random.default_rng(1))]))
+        alone = [score_record(GenerationRecord(r.question_id, r.combination,
+                                               r.embedding_model, r.prompt, r.completion,
+                                               r.steps)).confidence for r in records]
+        assert confidence.score_records(records) is records
+        assert [r.confidence for r in records] == alone
+
+    def test_an_empty_block_is_rejected_in_a_batch(self):
+        good = StepBlock.from_steps([make_step([0.6, 0.4])])
+        with pytest.raises(ValueError, match="at least one step"):
+            confidence.stacked_raw_scores([good, []])

@@ -12,7 +12,7 @@ import numpy as np
 import orjson
 import pytest
 
-from multirag import retrieval
+from multirag import confidence, pipeline, retrieval
 from multirag.confidence import METRICS, ConfidenceScore, select_most_confident
 from multirag.embedding import DeterministicProvider
 from multirag.evaluation import (
@@ -217,6 +217,68 @@ class TestSweep:
             run_sweep(corpus, items, config, pipelines=pipelines, sizes=[2, 3])
         assert exc.value.stage == "generation"
 
+    @pytest.mark.parametrize("pipelines, per_question", [
+        (["vanilla", "mixture", "confident"], 16), (["mixture"], 12), (["confident"], 5),
+    ], ids=["all", "mixture", "confident"])
+    def test_each_question_is_scored_in_one_pass(self, monkeypatch, pipelines, per_question):
+        models = ("det-a", "det-b", "det-c", "det-d")
+        passes, singles = [], []
+        score_records, score_record = confidence.score_records, confidence.score_record
+
+        def one_pass(records):
+            assert all(not r.confidence for r in records)
+            passes.append(len(records))
+            return score_records(records)
+
+        def single(record):
+            singles.append(record)
+            return score_record(record)
+
+        def facts(results):
+            return [(r.question_id, r.pipeline, r.answer, r.winner_index, r.retrieved,
+                     [(rec.embedding_model, rec.completion, rec.confidence)
+                      for rec in r.records]) for r in results]
+
+        monkeypatch.setattr(confidence, "score_records", one_pass)
+        monkeypatch.setattr(confidence, "score_record", single)
+        corpus, config, items = sweep_setup(n_questions=3, models=models)
+        results = run_sweep(corpus, items, config, pipelines=pipelines, sizes=[2, 3, 4])
+        assert passes == [per_question] * 3 and singles == []
+        assert all(set(rec.confidence) == set(METRICS) for r in results for rec in r.records)
+
+        # the parent's order of work: a plain memo scores each answer at once
+        monkeypatch.setattr(pipeline, "collecting_memo", lambda unscored: {})
+        passes.clear()
+        corpus, config, items = sweep_setup(n_questions=3, models=models)
+        at_once = run_sweep(corpus, items, config, pipelines=pipelines, sizes=[2, 3, 4])
+        assert len(singles) == 3 * per_question and passes == [1] * (3 * per_question)
+        assert facts(results) == facts(at_once)
+
+    @pytest.mark.parametrize("fail_at", [1, 2, 6, 9, 16, 21, 40])
+    def test_a_failed_generation_aborts_after_the_same_calls(self, monkeypatch, fail_at):
+        """Scoring later calls no backend: the same call fails, after as many calls."""
+        class FailAt(MockBackend):
+            def complete(self, prompt, params):
+                if self.call_count + 1 == fail_at:
+                    self.call_count += 1
+                    raise RuntimeError(f"backend down at call {fail_at}")
+                return super().complete(prompt, params)
+
+        def abort():
+            corpus, config, items = sweep_setup(n_questions=3, models=("det-a", "det-b",
+                                                                       "det-c", "det-d"))
+            config.backend = FailAt(seed=0)
+            with pytest.raises(StageError) as exc:
+                run_sweep(corpus, items, config,
+                          pipelines=["vanilla", "mixture", "confident"], sizes=[2, 3, 4])
+            return exc.value.stage, str(exc.value), config.backend.call_count
+
+        collected = abort()
+        monkeypatch.setattr(pipeline, "collecting_memo", lambda unscored: {})
+        assert collected == abort() == (
+            "generation", f"stage 'generation' failed: backend down at call {fail_at}",
+            fail_at)
+
     def test_one_generation_per_question_and_flow(self):
         models = ("det-a", "det-b", "det-c", "det-d")
         corpus, config, items = sweep_setup(n_questions=3, models=models)
@@ -386,6 +448,7 @@ class TestSweep:
                 cell = (q["vanilla_llm"] if res.pipeline == "vanilla-llm"
                         else q[res.pipeline][tag])
                 assert cell["correct"] == grade(res.answer, item)
+                assert cell["answer_value"] == extract_answer(res.records[0].completion)
                 continue
             for metric in METRICS:
                 cell = q["confident"][tag][metric]

@@ -1,7 +1,9 @@
+import logging
+
 import pytest
 
 from multirag import pipeline
-from multirag.confidence import LOWER_IS_CONFIDENT
+from multirag.confidence import LOWER_IS_CONFIDENT, METRICS
 from multirag.embedding import DeterministicProvider
 from multirag.errors import StageError
 from multirag.generation import DecodeParams, MockBackend, derive_seed
@@ -166,7 +168,7 @@ class TestConfident:
         assert [r.embedding_model for r in a.records] == \
             [r.embedding_model for r in b.records]
 
-    def test_failed_generation_dropped(self, corpus):
+    def drop_det_b(self, corpus, caplog, memo):
         # fail exactly one model, identified by its derived decode seed
         bad_seed = derive_seed(0, "gen", "q1", "det-b")
 
@@ -179,8 +181,20 @@ class TestConfident:
 
         backend = FailOne(seed=0)
         config = make_config(backend=backend)
-        res = run_confident("q1", QUESTION, ["det-a", "det-b", "det-c"], corpus, config)
+        with caplog.at_level(logging.WARNING, logger="multirag.pipeline"):
+            res = run_confident("q1", QUESTION, ["det-a", "det-b", "det-c"], corpus, config,
+                                memo)
         assert [r.embedding_model for r in res.records] == ["det-a", "det-c"]
+        assert all(set(r.confidence) == set(METRICS) for r in res.records)
+        assert [r.getMessage() for r in caplog.records] == [
+            "dropping model det-b for question q1: "
+            "stage 'generation' failed: backend down"]
+
+    def test_failed_generation_dropped(self, corpus, caplog):
+        self.drop_det_b(corpus, caplog, None)
+
+    def test_failed_generation_dropped_from_a_collecting_memo(self, corpus, caplog):
+        self.drop_det_b(corpus, caplog, pipeline.collecting_memo([]))
 
     def test_all_failed_raises_stage_error(self, corpus):
         class Dead(MockBackend):
@@ -214,6 +228,49 @@ class TestConfident:
         res = run_confident("q1", QUESTION, ["det-c", "det-a", "det-b"], corpus, config, memo)
         assert backend.call_count == 3
         assert [id(r) for r in res.records] == [id(r.records[0]) for r in runs]
+
+    def test_a_plain_memo_scores_each_answer_at_once(self, corpus):
+        config = make_config(seed=31)
+        memo: dict = {}
+        runs = [run_vanilla("q1", QUESTION, "det-a", corpus, config, memo),
+                run_mixture("q1", QUESTION, ["det-a", "det-b"], corpus, config, memo)]
+        assert all(set(r.records[0].confidence) == set(METRICS) for r in runs)
+
+    def test_a_collecting_memo_scores_when_asked(self, corpus):
+        config = make_config(seed=31)
+        unscored: list = []
+        memo = pipeline.collecting_memo(unscored)
+        runs = [run_vanilla("q1", QUESTION, "det-a", corpus, config, memo),
+                run_mixture("q1", QUESTION, ["det-a", "det-b"], corpus, config, memo)]
+        assert unscored == [r.records[0] for r in runs]
+        assert all(not r.records[0].confidence for r in runs)
+        pipeline.score_collected(memo)
+        assert unscored == []
+        fresh = run_mixture("q1", QUESTION, ["det-a", "det-b"], corpus, make_config(seed=31))
+        assert runs[1].records[0].confidence == fresh.records[0].confidence
+        confident = run_confident("q1", QUESTION, ["det-a", "det-b"], corpus, config, memo)
+        assert set(confident.records[1].confidence) == set(METRICS) and unscored == []
+
+    def test_generate_calls_match_the_backend_count(self, corpus, monkeypatch):
+        """A traced benchmark counts ``pipeline.generate`` calls against the backend's."""
+        from multirag import evaluation
+
+        calls = []
+        generate = pipeline.generate
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["embedding_model"])
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "generate", counting)
+        config = make_config(models=("det-a", "det-b", "det-c", "det-d"))
+        item = evaluation.QAItem("q1", QUESTION, "20")
+        evaluation.run_sweep(corpus, [item], config, ["vanilla", "mixture", "confident"],
+                             [2, 3, 4])
+        assert len(calls) == config.backend.call_count == 16
+        ask = make_config(models=("det-a", "det-b", "det-c", "det-d"))
+        run_confident("cli-question", QUESTION, ask.model_ids, corpus, ask)
+        assert len(calls) - 16 == ask.backend.call_count == 4
 
     def test_unknown_model_is_stage_annotated(self, corpus):
         with pytest.raises(StageError):

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import orjson
@@ -615,6 +619,47 @@ class TestDecode:
         with pytest.raises(TransportError,
                            match="response is not JSON: maximum recursion depth exceeded"):
             transport.post_json(f"{stub_server.url}/x", {}, {}, retries=0)
+
+    @pytest.mark.parametrize("opening, closing, depth", [
+        (b"[", b"]", 200_000), (b'{"a":', b"}", 100_000),
+    ], ids=["arrays", "objects"])
+    def test_a_deeply_nested_reply_is_an_error_not_a_crash(self, stub_server, opening,
+                                                           closing, depth):
+        # run in a child process, on a worker thread as the remote clients'
+        # pools are: a decoder with no depth limit would kill it, not raise
+        data = opening * depth + b"1" + closing * depth
+        stub_server.route("/x", lambda body: (200, data))
+        script = ("import sys, threading\n"
+                  "from multirag import transport\n"
+                  "from multirag.errors import TransportError\n"
+                  "def ask():\n"
+                  "    try:\n"
+                  "        transport.post_json(sys.argv[1], {}, {}, retries=0)\n"
+                  "    except TransportError as e:\n"
+                  "        print(e)\n"
+                  "worker = threading.Thread(target=ask)\n"
+                  "worker.start()\n"
+                  "worker.join()\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run([sys.executable, "-c", script, f"{stub_server.url}/x"],
+                              timeout=120, env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, (proc.returncode, proc.stderr[-2000:])
+        assert proc.stdout.startswith(
+            f"{stub_server.url}/x: response is not JSON: maximum recursion depth exceeded")
+
+    def test_a_reply_with_more_brackets_than_the_bound_is_read_by_the_stdlib(
+            self, stub_server, monkeypatch):
+        # an integer beyond 64 bits tells the decoders apart
+        data = b'{"v": 18446744073709551616, "w": [[1], [2], {"x": 3}]}'
+        stub_server.route("/x", lambda body: (200, data))
+        brackets = data.count(b"[") + data.count(b"{")
+        for bound, want in ((brackets, 2.0 ** 64), (brackets - 1, 2 ** 64),
+                            (len(data), 2.0 ** 64)):
+            monkeypatch.setattr(transport, "_ORJSON_MAX_BRACKETS", bound)
+            got = transport.post_json(f"{stub_server.url}/x", {}, {}, retries=0)
+            assert type(got["v"]) is type(want) and got["v"] == want
+            assert got["w"] == [[1], [2], {"x": 3}]
 
     def test_declared_charset_yields_to_valid_utf8(self, stub_server):
         """A departure from requests' decode: UTF-8 wins over the declared charset."""
