@@ -654,6 +654,8 @@ class TestDecode:
         data = b'{"v": 18446744073709551616, "w": [[1], [2], {"x": 3}]}'
         stub_server.route("/x", lambda body: (200, data))
         brackets = data.count(b"[") + data.count(b"{")
+        assert transport._brackets(data) == brackets
+        assert transport._brackets(bytes(range(256)) * 3) == 6
         for bound, want in ((brackets, 2.0 ** 64), (brackets - 1, 2 ** 64),
                             (len(data), 2.0 ** 64)):
             monkeypatch.setattr(transport, "_ORJSON_MAX_BRACKETS", bound)
